@@ -22,6 +22,14 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+def _num_nonzero(singular_values: np.ndarray, shape, tol: float) -> int:
+    """Singular values above ``tol * max(shape)`` relative to the largest."""
+    if not singular_values.size or singular_values.max() <= 0:
+        return 0
+    cutoff = tol * max(shape) * singular_values.max()
+    return int((singular_values > cutoff).sum())
+
+
 def null_space(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Return an orthonormal basis of the null space of ``matrix``.
 
@@ -32,19 +40,20 @@ def null_space(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if matrix.size == 0 or matrix.shape[0] == 0:
         return np.eye(matrix.shape[1])
     _, singular_values, vt = np.linalg.svd(matrix, full_matrices=True)
-    cutoff = tol * max(matrix.shape)
-    num_nonzero = int((singular_values > cutoff * singular_values.max()).sum()) if (
-        singular_values.size and singular_values.max() > 0
-    ) else 0
-    return vt[num_nonzero:].T.copy()
+    return vt[_num_nonzero(singular_values, matrix.shape, tol) :].T.copy()
 
 
 def rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank of ``matrix`` (0 for empty matrices)."""
+    """Numerical rank of ``matrix`` (0 for empty matrices).
+
+    Uses the same relative cutoff as :func:`null_space`, so
+    ``rank(M) + null_space(M).shape[1] == M.shape[1]``.
+    """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.size == 0:
         return 0
-    return int(np.linalg.matrix_rank(matrix, tol=None))
+    singular_values = np.linalg.svd(matrix, compute_uv=False)
+    return _num_nonzero(singular_values, matrix.shape, tol)
 
 
 def rank_increases(

@@ -12,7 +12,16 @@ subset, the probability that all its links are good, by:
    (``SortByHammingWeight``), candidate path sets are enumerated inside
    ``Paths(E) \\ Paths(complement(E))``, and the first row ``r`` with
    ``||r N|| > 0`` is kept, after which ``N`` is shrunk *incrementally* by
-   Algorithm 2 (lines 8-22);
+   Algorithm 2 (lines 8-22). The candidates live in a
+   :class:`CandidateFrontier` for the whole selection, not re-enumerated
+   after every pick: each subset's slate is enumerated once, and a
+   candidate that fails a test is never tested again. This keeps the
+   listing's choices exactly. A candidate's usability and frequency do
+   not depend on ``N``. ``N`` stays orthonormal (SVD, then QR in every
+   update) while its span only shrinks, so ``||r N||`` never grows and a
+   failed rank test stays failed. Gains are gather-sums of rows of ``N``
+   over the candidate's unknowns, and frequencies are queried only for
+   candidates whose gain passes;
 4. solving the final log-domain least-squares system and classifying each
    unknown as identifiable iff the final null space vanishes on its
    coordinate.
@@ -29,7 +38,8 @@ computable probabilities" resource knob (Section 4).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -50,6 +60,169 @@ from repro.probability.query import CongestionProbabilityModel
 from repro.probability.subsets import SubsetIndex
 from repro.topology.graph import Network
 from repro.util.subsets import bounded_subsets
+
+
+#: Candidates whose gains one gather-sum computes. A slate is enumerated
+#: and tested in blocks, so an early winner pays for neither the rest of
+#: the enumeration nor its rank tests.
+_BLOCK = 16
+
+#: A usable candidate path set and the distinct unknown positions of its row.
+Candidate = Tuple[FrozenSet[int], Tuple[int, ...]]
+
+
+class _Slate:
+    """The candidates of one subset position, in enumeration order.
+
+    ``candidates`` were enumerated and decomposed on an earlier visit and
+    are not yet known to fail; ``pending`` enumerates the rest lazily.
+    """
+
+    __slots__ = ("candidates", "pending")
+
+    def __init__(self, pending: Iterator[Tuple[int, ...]]) -> None:
+        self.candidates: List[Candidate] = []
+        self.pending = pending
+
+
+class CandidateFrontier:
+    """The candidate path sets of Algorithm 1's rank growth, for one fit.
+
+    Lines 9-20 visit the subsets in ``SortByHammingWeight`` order and keep
+    the first candidate path set inside ``Paths(E) \\ Paths(complement(E))``
+    whose row ``r`` has a frequency above ``min_frequency`` and
+    ``||r N|| > DEFAULT_TOL``. Each subset position gets a *slate* the
+    first time the order reaches it: the bounded enumeration of its
+    selector, each usable candidate stored with its unknown positions.
+
+    A candidate that fails a test is *settled*: it is never tested again,
+    in any slate. This drops no winner. Usability and frequency do not
+    depend on the basis; and since ``N`` stays orthonormal while its span
+    only shrinks, ``||r N||`` never grows, so a gain at or below the
+    tolerance stays there. Chosen path sets are settled too.
+    """
+
+    def __init__(
+        self,
+        index: SubsetIndex,
+        frequency: FrequencyCache,
+        settled: Set[FrozenSet[int]],
+        max_size: int,
+        max_count: int,
+        min_frequency: float,
+    ) -> None:
+        self._index = index
+        self._frequency = frequency
+        self._settled = settled
+        self._max_size = max_size
+        self._max_count = max_count
+        self._min_frequency = min_frequency
+        self._slates: Dict[int, _Slate] = {}
+        # Positions whose slate is used up: every candidate settled.
+        self._exhausted = np.zeros(len(index), dtype=bool)
+
+    def next_row(
+        self, basis: np.ndarray
+    ) -> Optional[Tuple[FrozenSet[int], np.ndarray]]:
+        """One pass of lines 9-20: the winning path set and its row, or None.
+
+        ``SortByHammingWeight``: subsets are visited in decreasing count of
+        non-zero entries of their null-space row — if unknown ``i`` has many
+        non-zeros in ``N``, a row touching it is likely to satisfy
+        ``||r N|| > 0``.
+        """
+        weights = np.count_nonzero(np.abs(basis) > 1e-12, axis=1)
+        order = np.argsort(-weights, kind="stable")
+        # Subsets of weight 0 are already orthogonal to every null
+        # direction; no row through them can add rank.
+        order = order[weights[order] > 0]
+        for position in order[~self._exhausted[order]].tolist():
+            winner = self._scan(self._slate(position), basis)
+            if winner is None:
+                self._exhausted[position] = True
+                continue
+            path_set, positions = winner
+            row = np.zeros(len(self._index))
+            row[list(positions)] = 1.0
+            return path_set, row
+        return None
+
+    def _slate(self, position: int) -> _Slate:
+        slate = self._slates.get(position)
+        if slate is None:
+            index = self._index
+            base = sorted(index.paths_selector(index.subsets[position]))
+            combos = bounded_subsets(
+                base, max_size=self._max_size, max_count=self._max_count
+            )
+            slate = self._slates[position] = _Slate(combos)
+        return slate
+
+    def _enumerate(self, slate: _Slate, count: int) -> List[Candidate]:
+        """Up to ``count`` more usable, unsettled candidates of ``slate``."""
+        found: List[Candidate] = []
+        for combo in slate.pending:
+            path_set = frozenset(combo)
+            if path_set in self._settled:
+                continue
+            positions = self._index.decompose(path_set)
+            # None touches a subset outside the index, [] no unknown.
+            if not positions:
+                self._settled.add(path_set)
+                continue
+            found.append((path_set, tuple(dict.fromkeys(positions))))
+            if len(found) == count:
+                break
+        return found
+
+    def _scan(self, slate: _Slate, basis: np.ndarray) -> Optional[Candidate]:
+        """The first candidate of ``slate`` passing both tests, settling failures.
+
+        The rank test runs first, a block at a time; the frequency is
+        queried only for candidates whose gain passes, in slate order.
+        Without a winner every candidate of the slate ends up settled.
+        """
+        settled = self._settled
+        live = [c for c in slate.candidates if c[0] not in settled]
+        slate.candidates = []
+        start = 0
+        while True:
+            block = live[start : start + _BLOCK]
+            start += len(block)
+            if len(block) < _BLOCK:
+                block += self._enumerate(slate, _BLOCK - len(block))
+            if not block:
+                return None
+            gains = self.gains(basis, block)
+            winner: Optional[Candidate] = None
+            kept: List[Candidate] = []
+            for candidate, gain in zip(block, gains):
+                path_set = candidate[0]
+                if gain <= DEFAULT_TOL:
+                    settled.add(path_set)
+                elif winner is not None:
+                    kept.append(candidate)
+                elif self._frequency(path_set) <= self._min_frequency:
+                    settled.add(path_set)
+                else:
+                    settled.add(path_set)
+                    winner = candidate
+            if winner is not None:
+                slate.candidates = kept + live[start:]
+                return winner
+
+    @staticmethod
+    def gains(basis: np.ndarray, block: Sequence[Candidate]) -> np.ndarray:
+        """``||r N||`` per candidate: the norm of a sum of rows of ``N``."""
+        lengths = [len(positions) for _, positions in block]
+        starts = np.zeros(len(block), dtype=np.intp)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        flat = np.fromiter(
+            chain.from_iterable(positions for _, positions in block),
+            dtype=np.intp,
+            count=sum(lengths),
+        )
+        return np.linalg.norm(np.add.reduceat(basis[flat], starts, axis=0), axis=1)
 
 
 class CorrelationCompleteEstimator(ProbabilityEstimator):
@@ -208,7 +381,8 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         """Algorithm 1: choose the path sets whose equations enter the system."""
         chosen: List[FrozenSet[int]] = []
         rows: List[np.ndarray] = []
-        seen: Set[FrozenSet[int]] = set()
+        # Path sets tested once, chosen or not: no later test can differ.
+        settled: Set[FrozenSet[int]] = set()
 
         # Lines 1-5: one selector path set per correlation subset. All
         # selector frequencies are prefetched through one batched kernel
@@ -218,12 +392,12 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         ]
         frequency.prefetch([s for s in selectors if s])
         for path_set in selectors:
-            if path_set in seen:
+            if path_set in settled:
                 continue
+            settled.add(path_set)
             row = self._usable_row(index, frequency, path_set)
             if row is None:
                 continue
-            seen.add(path_set)
             chosen.append(path_set)
             rows.append(row)
 
@@ -232,74 +406,22 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         basis = null_space(matrix)
 
         # Lines 8-22: grow rank with incrementally-updated null space.
+        frontier = CandidateFrontier(
+            index,
+            frequency,
+            settled=settled,
+            max_size=self.config.path_set_max_size,
+            max_count=self.config.path_set_max_count,
+            min_frequency=self.config.min_frequency,
+        )
         while basis.shape[1] > 0:
-            added = self._add_rank_increasing_row(index, frequency, basis, seen, chosen)
-            if added is None:
+            found = frontier.next_row(basis)
+            if found is None:
                 break
+            path_set, added = found
+            chosen.append(path_set)
             basis = null_space_update(basis, added)
         return chosen
-
-    def _add_rank_increasing_row(
-        self,
-        index: SubsetIndex,
-        frequency: FrequencyCache,
-        basis: np.ndarray,
-        seen: Set[FrozenSet[int]],
-        chosen: List[FrozenSet[int]],
-    ) -> Optional[np.ndarray]:
-        """One pass of lines 9-20; returns the added row or None.
-
-        ``SortByHammingWeight``: subsets are visited in decreasing count of
-        non-zero entries of their null-space row — if unknown ``i`` has many
-        non-zeros in ``N``, a row touching it is likely to satisfy
-        ``||r N|| > 0``.
-        """
-        weights = np.count_nonzero(np.abs(basis) > 1e-12, axis=1)
-        order = np.argsort(-weights, kind="stable")
-        for position in order:
-            if weights[position] == 0:
-                # Remaining subsets are already orthogonal to every null
-                # direction; no row through them can add rank.
-                break
-            subset = index.subsets[int(position)]
-            base = sorted(index.paths_selector(subset))
-            if not base:
-                continue
-            combos = [
-                frozenset(combo)
-                for combo in bounded_subsets(
-                    base,
-                    max_size=self.config.path_set_max_size,
-                    max_count=self.config.path_set_max_count,
-                )
-            ]
-            fresh = [c for c in combos if c not in seen]
-            # Candidates are evaluated in small batches — frequencies via
-            # one kernel call, rows via one index sweep, rank tests via one
-            # matrix product per batch — and the first usable
-            # rank-increasing candidate wins, exactly as a sequential
-            # line-by-line scan would choose. Chunking keeps the common
-            # case (an early candidate wins) from paying for the full
-            # slate.
-            chunk = 16
-            for start in range(0, len(fresh), chunk):
-                block = fresh[start : start + chunk]
-                frequencies = frequency.query_many(block)
-                rows, usable = index.rows_matrix(block)
-                if rows.shape[0] == 0:
-                    continue
-                gains = np.linalg.norm(rows @ basis, axis=1)
-                candidate_ok = frequencies[usable] > self.config.min_frequency
-                candidates = [c for c, keep in zip(block, usable) if keep]
-                for candidate, ok, gain, row in zip(
-                    candidates, candidate_ok, gains, rows
-                ):
-                    if not ok or gain <= DEFAULT_TOL:
-                        continue
-                    seen.add(candidate)
-                    chosen.append(candidate)
-                    return row
-        return None
 
     # ------------------------------------------------------------------
     # Variance reduction

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.linalg.nullspace import (
+    DEFAULT_TOL,
     null_space,
     null_space_update,
     rank,
@@ -41,6 +44,27 @@ def test_rank():
     assert rank(np.eye(3)) == 3
     assert rank(np.zeros((3, 3))) == 0
     assert rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+
+
+def test_rank_honours_tol():
+    matrix = np.diag([1.0, 1e-12])
+    assert rank(matrix) == 1
+    assert rank(matrix, tol=1e-15) == 2
+    assert null_space(matrix).shape[1] == 1
+    assert null_space(matrix, tol=1e-15).shape[1] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        elements=st.sampled_from([0.0, 1.0, 2.0, -1.0]),
+    ),
+    tol=st.sampled_from([DEFAULT_TOL, 1e-6, 1e-3]),
+)
+def test_rank_plus_nullity_is_column_count(matrix, tol):
+    assert rank(matrix, tol) + null_space(matrix, tol).shape[1] == matrix.shape[1]
 
 
 def test_rank_increases_detects_new_direction():
@@ -113,3 +137,47 @@ def test_null_space_columns_orthonormal(matrix):
     if basis.shape[1]:
         gram = basis.T @ basis
         assert np.allclose(gram, np.eye(basis.shape[1]), atol=1e-8)
+
+
+def _gains(rows, basis):
+    return np.linalg.norm(rows @ basis, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(2, 7),
+    nullity=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gains_never_grow_under_updates(size, nullity, seed):
+    """The invariant Algorithm 1's candidate frontier rests on.
+
+    Every rank-increasing ``null_space_update`` keeps ``N`` orthonormal
+    and shrinks its span, so no row's gain ``||r N||`` grows, and a row
+    whose gain is at or below ``DEFAULT_TOL`` stays there.
+    """
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((size, min(nullity, size))))
+    # Random real rows, every 0/1 row, and rows orthogonal to the start.
+    probes = np.vstack(
+        [
+            rng.standard_normal((8, size)),
+            np.array(list(product([0.0, 1.0], repeat=size))),
+            rng.standard_normal((4, size)) @ (np.eye(size) - basis @ basis.T),
+        ]
+    )
+    gains = _gains(probes, basis)
+    settled = gains <= DEFAULT_TOL
+    while basis.shape[1] > 0:
+        row = rng.integers(0, 2, size).astype(float)
+        if np.linalg.norm(row @ basis) <= DEFAULT_TOL:
+            row = basis[:, rng.integers(basis.shape[1])] + 0.5 * rng.standard_normal(size)
+            if np.linalg.norm(row @ basis) <= DEFAULT_TOL:
+                continue
+        basis = null_space_update(basis, row)
+        assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10)
+        updated = _gains(probes, basis)
+        assert np.all(updated <= gains + 1e-12)
+        assert np.all(updated[settled] <= DEFAULT_TOL)
+        gains = updated
+        settled |= gains <= DEFAULT_TOL

@@ -135,12 +135,8 @@ def frozen() -> Dict[str, str]:
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.fixture(scope="module")
-def fig4(frozen):
-    return fig4_digests()
-
-
-def test_fig4_cells_match_frozen_digests(fig4, frozen):
+def test_fig4_cells_match_frozen_digests(frozen):
+    fig4 = fig4_digests()
     expected = {key: value for key, value in frozen.items() if key.startswith("fig4/")}
     assert len(expected) == 2 * len(SCENARIOS) * 2 * len(ESTIMATORS)
     mismatched = sorted(key for key in expected if fig4.get(key) != expected[key])
