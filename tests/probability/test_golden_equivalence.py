@@ -573,3 +573,19 @@ def test_failed_candidate_is_never_tested_again(
         assert all(test is True for test in tests[:-1]), sorted(path_set)
     for path_set in model.report.path_sets:
         assert events[path_set][-1] == "frequency"
+
+
+@pytest.mark.parametrize("min_frequency", [0.3, 0.6])
+def test_frontier_matches_legacy_with_frequency_floor(
+    min_frequency, small_brite, observations
+):
+    """Candidates settled by the frequency test change no selection.
+
+    With the default floor of 0 almost every candidate passes the
+    frequency test; a floor makes many fail it and stay settled.
+    """
+    config = EstimatorConfig(seed=3, min_frequency=min_frequency)
+    expected = LegacyCorrelationComplete(config).fit(small_brite, observations)
+    actual = CorrelationCompleteEstimator(config).fit(small_brite, observations)
+    assert_models_identical(actual, expected)
+    assert_reports_identical(actual.report, expected.report, fewer_queries=True)
