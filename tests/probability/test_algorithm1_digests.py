@@ -1,17 +1,28 @@
-"""Frozen digests of Algorithm 1's output.
+"""Frozen digests of the estimators' output.
 
-Each digest is a sha256 over what a Correlation-complete fit selects and
-solves: the chosen path sets in selection order, every estimate's exact
-float bits, the rank, the residual and the equation count. The cases are
-the tiny-scale Fig. 4 cells (Brite and Sparse topologies under the three
-Fig. 4 scenarios, fitted by Correlation-complete with and without the
-redundancy pass, on the packed and the dense observation backends) and
-one 1k-node power-law deployment derived through
-:func:`~repro.datasets.base.derive_network_compact`.
+Each fit digest is a sha256 over what a fit selects and solves: the
+chosen path sets in selection order, every estimate's exact float bits,
+the rank, the residual and the equation count. The cases are
 
-Any change to the path-set selection, the null-space updates or the solve
-that moves a single bit shows up here. Regenerate the fixture only for a
-change that is meant to move results::
+* the tiny-scale Fig. 4 cells (Brite and Sparse topologies under the
+  three Fig. 4 scenarios, on the packed and the dense observation
+  backends) fitted by Correlation-complete with and without the
+  redundancy pass, and by the Independence and Correlation-heuristic
+  baselines;
+* one 1k-node power-law deployment derived through
+  :func:`~repro.datasets.base.derive_network_compact`;
+* the ``scaling-topology`` study's route and estimate digests at its
+  tiny sizes (200 and 500 nodes).
+
+Any change to the path-set selection, the null-space updates, the
+equation storage, the route derivation or the solve that moves a single
+bit shows up here.
+
+Digests are computed in a subprocess with one BLAS thread (the
+performance ledger's setting): unidentifiable coordinates are whichever
+minimiser NNLS lands on, and that choice can follow the BLAS thread
+count. Regenerate the fixture only for a change that is meant to move
+results::
 
     PYTHONPATH=src python tests/probability/test_algorithm1_digests.py
 """
@@ -20,6 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from typing import Dict
@@ -30,12 +43,15 @@ from repro.datasets.base import DatasetSpec, derive_network_compact
 from repro.datasets.synthetic import generate_powerlaw_edges
 from repro.exceptions import EstimationError
 from repro.experiments.config import TINY
+from repro.experiments.scaling_topology import run_scaling_topology
 from repro.model.status import ObservationMatrix
 from repro.probability.base import EstimatorConfig
 from repro.probability.correlation_complete import (
     CorrelationCompleteEstimator,
     CorrelationCompleteNoRedundancy,
 )
+from repro.probability.correlation_heuristic import CorrelationHeuristicEstimator
+from repro.probability.independence import IndependenceEstimator
 from repro.simulation.experiment import run_experiment
 from repro.simulation.probing import PathProber
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
@@ -47,6 +63,18 @@ FIXTURE = (
 )
 
 ESTIMATORS = (CorrelationCompleteEstimator, CorrelationCompleteNoRedundancy)
+
+BASELINES = (IndependenceEstimator, CorrelationHeuristicEstimator)
+
+#: Sizes of the ``scaling-topology`` study's tiny scale.
+SCALING_SIZES = (200, 500)
+
+#: One BLAS thread, as the performance ledger pins it.
+PINNED_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
 
 SCENARIOS = (
     ("random", ScenarioKind.RANDOM),
@@ -76,7 +104,11 @@ def fit_digest(estimator, network, observations) -> str:
 
 
 def fig4_digests() -> Dict[str, str]:
-    """Digests of the tiny-scale Fig. 4 cells, per backend and estimator."""
+    """Digests of the tiny-scale Fig. 4 cells, per backend and estimator.
+
+    Correlation-complete cells are keyed ``fig4/...``, the baselines'
+    ``fig4-baselines/...``.
+    """
     networks = {
         "brite": generate_brite_network(TINY.brite, 5),
         "sparse": generate_sparse_network(TINY.traceroute, 6),
@@ -98,10 +130,16 @@ def fig4_digests() -> Dict[str, str]:
                 ),
             }
             for backend, observations in backends.items():
+                cell = f"{topology}/{label}/{backend}"
                 for estimator in ESTIMATORS:
-                    key = f"fig4/{topology}/{label}/{backend}/{estimator.name}"
-                    digests[key] = fit_digest(
+                    digests[f"fig4/{cell}/{estimator.name}"] = fit_digest(
                         estimator(EstimatorConfig(seed=3)), network, observations
+                    )
+                for estimator in BASELINES:
+                    digests[f"fig4-baselines/{cell}/{estimator.name}"] = fit_digest(
+                        estimator(EstimatorConfig(seed=3, sparse=True)),
+                        network,
+                        observations,
                     )
     return digests
 
@@ -126,8 +164,36 @@ def powerlaw_digest() -> Dict[str, str]:
     }
 
 
+def scaling_topology_digests() -> Dict[str, str]:
+    """Route and estimate digests of the ``scaling-topology`` tiny sizes."""
+    result = run_scaling_topology(
+        TINY, seed=17, sizes=list(SCALING_SIZES), workers=1, executor=None
+    )
+    digests = {}
+    for size in SCALING_SIZES:
+        row = result.cell(size, "sparse")
+        digests[f"scaling-topology/{size}/routes"] = row.route_digest
+        digests[f"scaling-topology/{size}/estimates"] = row.estimate_digest
+    return digests
+
+
 def compute_digests() -> Dict[str, str]:
-    return {**fig4_digests(), **powerlaw_digest()}
+    return {**fig4_digests(), **powerlaw_digest(), **scaling_topology_digests()}
+
+
+def pinned_digests() -> Dict[str, str]:
+    """:func:`compute_digests` in a fresh interpreter with one BLAS thread."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    python_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, __file__, "--print"],
+        env={**os.environ, **PINNED_ENV, "PYTHONPATH": python_path},
+        capture_output=True,
+        text=True,
+        timeout=600,
+        check=True,
+    )
+    return json.loads(completed.stdout)
 
 
 @pytest.fixture(scope="module")
@@ -135,21 +201,44 @@ def frozen() -> Dict[str, str]:
     return json.loads(FIXTURE.read_text())
 
 
-def test_fig4_cells_match_frozen_digests(frozen):
-    fig4 = fig4_digests()
-    expected = {key: value for key, value in frozen.items() if key.startswith("fig4/")}
-    assert len(expected) == 2 * len(SCENARIOS) * 2 * len(ESTIMATORS)
-    mismatched = sorted(key for key in expected if fig4.get(key) != expected[key])
+@pytest.fixture(scope="module")
+def computed() -> Dict[str, str]:
+    return pinned_digests()
+
+
+def _assert_prefix_matches(frozen, computed, prefix: str, count: int) -> None:
+    expected = {key: value for key, value in frozen.items() if key.startswith(prefix)}
+    assert len(expected) == count
+    mismatched = sorted(key for key in expected if computed.get(key) != expected[key])
     assert not mismatched
-    assert set(fig4) == set(expected)
+    assert {key for key in computed if key.startswith(prefix)} == set(expected)
 
 
-def test_powerlaw_deployment_matches_frozen_digest(frozen):
-    for key, value in powerlaw_digest().items():
-        assert frozen[key] == value
+def test_fig4_cells_match_frozen_digests(frozen, computed):
+    count = 2 * len(SCENARIOS) * 2 * len(ESTIMATORS)
+    _assert_prefix_matches(frozen, computed, "fig4/", count)
+
+
+def test_fig4_baselines_match_frozen_digests(frozen, computed):
+    count = 2 * len(SCENARIOS) * 2 * len(BASELINES)
+    _assert_prefix_matches(frozen, computed, "fig4-baselines/", count)
+
+
+def test_powerlaw_deployment_matches_frozen_digest(frozen, computed):
+    _assert_prefix_matches(frozen, computed, "powerlaw-1000/", 1)
+
+
+def test_scaling_topology_matches_frozen_digests(frozen, computed):
+    count = 2 * len(SCALING_SIZES)
+    _assert_prefix_matches(frozen, computed, "scaling-topology/", count)
 
 
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {FIXTURE}\n")
+    if sys.argv[1:] == ["--print"]:
+        sys.stdout.write(json.dumps(compute_digests()))
+    else:
+        FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+        FIXTURE.write_text(
+            json.dumps(pinned_digests(), indent=1, sort_keys=True) + "\n"
+        )
+        sys.stdout.write(f"wrote {FIXTURE}\n")
