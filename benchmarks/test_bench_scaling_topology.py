@@ -1,35 +1,18 @@
-"""Internet-scale sparse-vs-dense estimation path benchmark.
+"""Internet-scale construction and estimation path benchmark.
 
-Runs the ``scaling-topology`` study (ROADMAP item 3): the same power-law
-AS topology is built and fitted through the dense structures and through
-the sparse path (CSR adjacency, CSR route table, sparse equation arenas)
-at each scale's node counts.
-
-Bit-identity between the two modes is asserted *unconditionally* — it is
-a correctness contract, not a performance expectation. The performance
-gates (>= ``MEMORY_RATIO_FLOOR`` structure-memory reduction at every
-size, sparse wall time within ``TIME_SLACK`` of dense at the smallest
-size) *fail* only when armed via ``REPRO_BENCH_STRICT``; otherwise the
-measured numbers are printed with a warning, because shared CI runners
-make wall-clock flaky and the committed gate should never be.
+Runs the ``scaling-topology`` study (ROADMAP item 3): a power-law AS
+topology is built through the compact path (CSR adjacency, CSR route
+table, entry-run equation storage) and fitted at each scale's node
+counts. The table and a report-only peak-RSS row are recorded; the
+cells' route and estimate digests are frozen in
+``tests/probability/test_algorithm1_digests.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments.scaling_topology import run_scaling_topology
-
-#: Dense structure bytes / sparse structure bytes must clear this at
-#: every measured size (the ISSUE's ">= 3x lighter" acceptance bar).
-MEMORY_RATIO_FLOOR = 3.0
-
-#: Sparse (build + fit) wall time may exceed dense by at most this
-#: factor at the smallest size — "never slower", with timing-noise slack
-#: (the study runs under tracemalloc, which taxes allocation-heavy code).
-TIME_SLACK = 1.25
 
 
 @pytest.mark.benchmark(group="scaling-topology")
@@ -42,47 +25,12 @@ def test_scaling_topology_sparse_vs_dense(benchmark, bench_scale):
         iterations=1,
     )
     print()
-    print("Sparse vs dense internet-scale estimation path")
+    print("Internet-scale construction and estimation path")
     print(result.to_table())
-    ratios = result.memory_ratios()
-    print(
-        "dense/sparse structure-memory ratio: "
-        + ", ".join(f"{size}: {ratio:.1f}x" for size, ratio in sorted(ratios.items()))
-    )
-
-    # Correctness contract: identical routes and estimates in both modes.
-    assert result.bit_identical(), (
-        "sparse and dense modes diverged — the sparse path must be "
-        "bit-identical, see repro/experiments/scaling_topology.py"
-    )
+    assert result.rows and all(row.num_equations > 0 for row in result.rows)
 
     # Report-only context for compare_baseline.py: the process peak RSS
     # after the largest cell, in MB.
     benchmark.extra_info["peak_rss_mb"] = round(
         max(row.rss_bytes for row in result.rows) / 1e6, 1
     )
-
-    problems = []
-    for size, ratio in sorted(ratios.items()):
-        if ratio < MEMORY_RATIO_FLOOR:
-            problems.append(
-                f"structure-memory ratio at {size} nodes is {ratio:.2f}x "
-                f"(< {MEMORY_RATIO_FLOOR:.1f}x)"
-            )
-    smallest = min(result.sizes())
-    dense = result.cell(smallest, "dense")
-    sparse = result.cell(smallest, "sparse")
-    if dense is not None and sparse is not None:
-        dense_s = dense.build_seconds + dense.fit_seconds
-        sparse_s = sparse.build_seconds + sparse.fit_seconds
-        if sparse_s > dense_s * TIME_SLACK:
-            problems.append(
-                f"sparse mode slower at {smallest} nodes: "
-                f"{sparse_s:.2f}s vs dense {dense_s:.2f}s "
-                f"(> {TIME_SLACK:.2f}x slack)"
-            )
-    if os.environ.get("REPRO_BENCH_STRICT"):
-        assert not problems, "; ".join(problems)
-    else:
-        for problem in problems:
-            print(f"WARNING (unarmed gate): {problem}")

@@ -37,7 +37,6 @@ from repro.topology.graph import Network
 from repro.topology.routing import (
     CompactGraph,
     RouteOracle,
-    bfs_parents_graph,
     route_from_parents,
     select_endpoint_pairs,
     select_endpoint_pairs_lazy,
@@ -203,7 +202,6 @@ def derive_network_compact(
     dst: np.ndarray,
     spec: DatasetSpec,
     name: str,
-    sparse: bool = True,
     stats: Optional[Dict[str, int]] = None,
 ) -> Network:
     """Derive a monitored network from an edge-array graph, at scale.
@@ -216,23 +214,19 @@ def derive_network_compact(
     * endpoint pairs come from
       :func:`~repro.topology.routing.select_endpoint_pairs_lazy`, which
       never materialises the O(V x D) pair product;
-    * one deterministic BFS parent tree per distinct vantage serves all of
-      its destinations (instead of one ``nx.shortest_path`` per pair);
-    * with ``sparse=True`` the graph is a CSR
-      :class:`~repro.topology.routing.CompactGraph`, the router->AS map is
-      the O(1) :class:`~repro.topology.aslevel.IdentityAsnMap`, and routes
+    * one deterministic BFS parent tree (FIFO frontier, ascending
+      neighbours) per distinct vantage serves all of its destinations
+      (instead of one ``nx.shortest_path`` per pair);
+    * the graph is a CSR :class:`~repro.topology.routing.CompactGraph`, the
+      router->AS map is the O(1)
+      :class:`~repro.topology.aslevel.IdentityAsnMap`, and routes
       accumulate in a :class:`~repro.topology.routing.SparseRouteTable`.
-
-    Both modes run the *same* BFS (FIFO frontier, ascending neighbours)
-    over the same seed-deterministic endpoint draw, so the derived
-    :class:`Network` is bit-identical across ``sparse`` settings — only
-    peak memory differs.
 
     When ``stats`` is given (a dict) and :mod:`tracemalloc` is tracing,
     ``stats["construction_bytes"]`` records the bytes *retained* by the
     graph, router->AS map, and accumulated route storage at the moment
-    route derivation finishes — the structures the sparse mode replaces —
-    measured as a traced-allocation delta across this call.
+    route derivation finishes, measured as a traced-allocation delta
+    across this call.
     """
     spec.validate()
     trace_start = (
@@ -262,33 +256,17 @@ def derive_network_compact(
     for source, destination in pairs:
         destinations_of.setdefault(source, []).append(destination)
 
-    if sparse:
-        graph: Union[CompactGraph, nx.Graph] = CompactGraph.from_edges(
-            num_nodes, src, dst
-        )
-        builder = AsLevelBuilder(
-            IdentityAsnMap(num_nodes),
-            include_source_as=True,
-            sparse_paths=True,
-            copy_mapping=False,
-        )
-    else:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_nodes))
-        graph.add_edges_from(
-            (int(a), int(b)) for a, b in zip(src, dst) if int(a) != int(b)
-        )
-        builder = AsLevelBuilder(
-            {node: node for node in range(num_nodes)}, include_source_as=True
-        )
-    # Deterministic route order shared by both modes: sources ascending,
-    # then destinations ascending within each source's parent tree.
+    graph = CompactGraph.from_edges(num_nodes, src, dst)
+    builder = AsLevelBuilder(
+        IdentityAsnMap(num_nodes),
+        include_source_as=True,
+        sparse_paths=True,
+        copy_mapping=False,
+    )
+    # Deterministic route order: sources ascending, then destinations
+    # ascending within each source's parent tree.
     for source in sorted(destinations_of):
-        parents = (
-            graph.bfs_parents(source)
-            if isinstance(graph, CompactGraph)
-            else bfs_parents_graph(graph, source)
-        )
+        parents = graph.bfs_parents(source)
         for destination in sorted(destinations_of[source]):
             route = route_from_parents(parents, source, destination)
             if route is not None:
@@ -296,8 +274,8 @@ def derive_network_compact(
         del parents
     if trace_start is not None and stats is not None:
         # Graph + AS map + route storage are all still live here, while the
-        # (mode-shared) Network has not been materialised yet: the delta is
-        # exactly the construction structures the sparse mode shrinks.
+        # Network has not been materialised yet: the delta is exactly the
+        # construction structures.
         stats["construction_bytes"] = max(
             0, tracemalloc.get_traced_memory()[0] - trace_start
         )

@@ -149,9 +149,7 @@ class PowerLawAsLoader:
             self.num_nodes, self.attachment, spec.seed
         )
         name = f"powerlaw-as-{self.num_nodes}"
-        return derive_network_compact(
-            self.num_nodes, src, dst, spec, name, sparse=True
-        )
+        return derive_network_compact(self.num_nodes, src, dst, spec, name)
 
     def cache_token(self, path: Optional[PathLike]) -> bytes:
         return f"powerlaw-as:{self.num_nodes}:{self.attachment}".encode()

@@ -1,32 +1,22 @@
-"""Internet-scale topology study: sparse vs dense estimation path.
+"""Internet-scale topology study: construction and estimation per size.
 
-ROADMAP item 3 asks for 10k+-node AS graphs, where the eager structures
+ROADMAP item 3 asks for 10k+-node AS graphs, where eager structures
 (networkx router graphs, per-path Python tuples, dense equation rows)
-dominate memory. This driver builds the *same* monitored network and fit
-twice per size — once through the historical dense structures, once
-through the sparse path (CSR :class:`~repro.topology.routing.CompactGraph`
+would dominate memory. This driver builds one monitored network per size
+through the compact path — CSR :class:`~repro.topology.routing.CompactGraph`
 adjacency, :class:`~repro.topology.routing.SparseRouteTable` routes,
-observed-only unknown admission, sparse equation arenas) — and records
-wall time, structure bytes, peak traced allocation, and content digests
-of both the derived routes and the final estimates.
+observed-only unknown admission, entry-run equation storage — fits it with
+Correlation-complete, and records wall time, structure bytes, peak traced
+allocation, and content digests of the derived routes and the estimates.
 
-The digests are the contract: every (size, seed) cell must produce
-**bit-identical** routes and estimates in both modes, so the sparse path
-is a pure memory/performance optimisation, never a semantic fork. The
-``scaling-topology`` campaign and
-``benchmarks/test_bench_scaling_topology.py`` assert exactly that, plus a
->= 3x structure-memory reduction at 1k nodes.
-
-Two memory columns, two roles. ``structure_bytes`` is what the sparse
-path replaces: retained construction structures (graph, router->AS map,
-route storage — measured as a traced-allocation delta inside
+Two memory columns, two roles. ``structure_bytes`` is the retained
+construction structures (graph, router->AS map, route storage — measured
+as a traced-allocation delta inside
 :func:`~repro.datasets.base.derive_network_compact`) plus the assembled
 equation system's logical storage
-(:attr:`~repro.linalg.system.EquationSystem.storage_nbytes`). The >= 3x
-gate applies to it. ``peak_traced_bytes`` is the whole-trial allocation
-peak, dominated by the *shared* solve transients — both modes densify the
-same unique rows for the identical QR/NNLS solve, so it is reported for
-context but never gated on a ratio.
+(:attr:`~repro.linalg.system.EquationSystem.storage_nbytes`).
+``peak_traced_bytes`` is the whole-trial allocation peak, dominated by the
+solve transients (the densified unique rows of the QR/NNLS solve).
 """
 
 from __future__ import annotations
@@ -60,9 +50,6 @@ SIZES_BY_SCALE: Dict[str, List[int]] = {
     "paper": [1000, 5000, 10000],
 }
 
-#: Both construction/estimation modes, compared pairwise per size.
-MODES = ("dense", "sparse")
-
 #: Simulation horizon of the per-size fit (kept modest: the subject under
 #: measurement is topology construction + estimation structure, not T).
 NUM_INTERVALS = 100
@@ -76,10 +63,9 @@ _TRACE_LOCK = threading.Lock()
 
 @dataclass
 class ScalingTopologyRow:
-    """One (size, mode) cell of the sparse-vs-dense scaling study."""
+    """One size cell of the scaling study."""
 
     num_nodes: int
-    mode: str
     num_links: int
     num_paths: int
     num_unknowns: int
@@ -95,57 +81,29 @@ class ScalingTopologyRow:
 
     @property
     def structure_bytes(self) -> int:
-        """Construction structures + equation storage: the gated quantity."""
+        """Construction structures + equation storage."""
         return self.construction_bytes + self.equation_storage_bytes
 
 
 @dataclass
 class ScalingTopologyResult:
-    """All cells, with pairwise identity and memory-ratio accessors."""
+    """All cells, one per size."""
 
     rows: List[ScalingTopologyRow] = field(default_factory=list)
 
-    def cell(self, num_nodes: int, mode: str) -> Optional[ScalingTopologyRow]:
+    def cell(self, num_nodes: int) -> Optional[ScalingTopologyRow]:
         for row in self.rows:
-            if row.num_nodes == num_nodes and row.mode == mode:
+            if row.num_nodes == num_nodes:
                 return row
         return None
 
     def sizes(self) -> List[int]:
         return sorted({row.num_nodes for row in self.rows})
 
-    def bit_identical(self) -> bool:
-        """Dense and sparse digests agree at every size with both modes."""
-        checked = False
-        for size in self.sizes():
-            dense = self.cell(size, "dense")
-            sparse = self.cell(size, "sparse")
-            if dense is None or sparse is None:
-                continue
-            checked = True
-            if (
-                dense.route_digest != sparse.route_digest
-                or dense.estimate_digest != sparse.estimate_digest
-            ):
-                return False
-        return checked
-
-    def memory_ratios(self) -> Dict[int, float]:
-        """Dense / sparse structure bytes, per size (the >= 3x gate)."""
-        ratios: Dict[int, float] = {}
-        for size in self.sizes():
-            dense = self.cell(size, "dense")
-            sparse = self.cell(size, "sparse")
-            if dense is None or sparse is None or sparse.structure_bytes == 0:
-                continue
-            ratios[size] = dense.structure_bytes / sparse.structure_bytes
-        return ratios
-
     def to_table(self) -> str:
         body = [
             [
                 row.num_nodes,
-                row.mode,
                 row.num_links,
                 row.num_paths,
                 row.num_unknowns,
@@ -157,12 +115,11 @@ class ScalingTopologyResult:
                 f"{row.rss_bytes / 1e6:.1f}",
                 row.estimate_digest[:12],
             ]
-            for row in sorted(self.rows, key=lambda r: (r.num_nodes, r.mode))
+            for row in sorted(self.rows, key=lambda r: r.num_nodes)
         ]
         return format_table(
             [
                 "nodes",
-                "mode",
                 "links",
                 "paths",
                 "unknowns",
@@ -220,35 +177,30 @@ def scaling_topology_specs(
     seed: int,
     sizes: Optional[List[int]] = None,
 ) -> List[TrialSpec]:
-    """One trial per (size, mode) cell; both modes share the cell seed."""
+    """One trial per size."""
     sizes = sizes or SIZES_BY_SCALE.get(scale.name, SIZES_BY_SCALE["small"])
-    specs: List[TrialSpec] = []
-    for size in sizes:
-        for mode in MODES:
-            specs.append(
-                TrialSpec(
-                    campaign="scaling-topology",
-                    topology=f"powerlaw-{size}",
-                    scenario="Random",
-                    estimator=mode,
-                    seeds=(seed,),
-                    index=len(specs),
-                    group=(seed, size, mode),
-                    cost=float(size),
-                    params={"num_nodes": size, "mode": mode},
-                )
-            )
-    return specs
+    return [
+        TrialSpec(
+            campaign="scaling-topology",
+            topology=f"powerlaw-{size}",
+            scenario="Random",
+            estimator="Correlation-complete",
+            seeds=(seed,),
+            index=index,
+            group=(seed, size),
+            cost=float(size),
+            params={"num_nodes": size},
+        )
+        for index, size in enumerate(sizes)
+    ]
 
 
 def scaling_topology_trial(
     spec: TrialSpec, cache: Dict[Any, Any]
 ) -> ScalingTopologyRow:
-    """Build + fit one (size, mode) cell under allocation tracing."""
+    """Build + fit one size cell under allocation tracing."""
     del cache  # every cell is self-contained; nothing to share
     num_nodes = int(spec.params["num_nodes"])
-    mode = str(spec.params["mode"])
-    sparse = mode == "sparse"
     seed = spec.seeds[0]
     seeds = spawn_seeds(seed, 3)
     build_stats: Dict[str, int] = {}
@@ -265,7 +217,6 @@ def scaling_topology_trial(
                     dst,
                     _dataset_spec(num_nodes, seeds[0]),
                     f"powerlaw-{num_nodes}",
-                    sparse=sparse,
                     stats=build_stats,
                 )
             with Timer() as fit_timer:
@@ -287,10 +238,8 @@ def scaling_topology_trial(
                     "Correlation-complete",
                     EstimatorConfig(
                         # Observed-only admission (the lazily-discovered
-                        # unknown policy) in BOTH modes, so the sparse flag
-                        # stays a pure mechanics switch.
+                        # unknown policy).
                         requested_subset_size=1,
-                        sparse=sparse,
                         seed=seed,
                     ),
                 )
@@ -301,7 +250,6 @@ def scaling_topology_trial(
     report = model.report  # type: ignore[attr-defined]
     return ScalingTopologyRow(
         num_nodes=num_nodes,
-        mode=mode,
         num_links=network.num_links,
         num_paths=network.num_paths,
         num_unknowns=report.num_unknowns,
@@ -320,11 +268,11 @@ def scaling_topology_trial(
 def merge_scaling_topology(
     results: Sequence[TrialResult],
 ) -> ScalingTopologyResult:
-    """Collect cells in (size, mode) order."""
+    """Collect cells in size order."""
     result = ScalingTopologyResult()
     for trial in results:
         result.rows.append(trial.payload)
-    result.rows.sort(key=lambda row: (row.num_nodes, row.mode))
+    result.rows.sort(key=lambda row: row.num_nodes)
     return result
 
 
@@ -336,7 +284,7 @@ def run_scaling_topology(
     progress: Optional[ProgressFn] = None,
     executor: Optional[str] = "process",
 ) -> ScalingTopologyResult:
-    """Sweep sparse-vs-dense construction and estimation across sizes."""
+    """Sweep construction and estimation across sizes."""
     results = run_trials(
         scaling_topology_trial,
         scaling_topology_specs(scale, seed, sizes),

@@ -14,7 +14,7 @@ vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
@@ -23,88 +23,45 @@ from repro.exceptions import EstimationError
 from repro.linalg.nullspace import DEFAULT_TOL
 
 
-def _group_duplicate_rows(matrix: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """Group identical rows by hashing their raw bytes.
-
-    Returns ``(first_of_group, inverse)``: the index of each group's first
-    occurrence (in first-seen order) and, per original row, its group id.
-    Linear in the matrix size — far cheaper than a lexicographic
-    ``np.unique(axis=0)`` on wide float rows.
-    """
-    matrix = np.ascontiguousarray(matrix)
-    groups: dict = {}
-    first_of_group: List[int] = []
-    inverse = np.empty(matrix.shape[0], dtype=np.intp)
-    for i, row in enumerate(matrix):
-        key = row.tobytes()
-        group = groups.get(key)
-        if group is None:
-            group = len(groups)
-            groups[key] = group
-            first_of_group.append(i)
-        inverse[i] = group
-    return np.asarray(first_of_group, dtype=np.intp), inverse
-
-
 class SystemWorkspace:
     """Reusable growth arenas for :class:`EquationSystem` blocks.
 
+    Each equation row is stored as a run of ``(column, value)`` entries in
+    flat capacity-doubling arrays, next to per-row arenas for the entry
+    count, right-hand side, weight and prior flag. Storage therefore costs
+    the number of nonzeros, not rows x unknowns.
+
     A sweep trial that fits several estimators against one observation set
-    churns through several short-lived equation systems; the workspace
-    lets them append into one capacity-doubling arena instead of
-    reallocating block lists per fit. The estimation pipeline threads one
-    workspace per trial through its
-    :class:`~repro.probability.pipeline.FitContext`.
+    churns through several short-lived equation systems; sharing one
+    workspace lets them append into the same arenas instead of
+    reallocating per fit. The estimation pipeline threads one workspace per
+    trial through its :class:`~repro.probability.pipeline.FitContext`.
 
     Only one system may grow in the workspace at a time: beginning a new
-    system recycles the arena, invalidating the previous system's matrix
-    views. Sweep trials fit sequentially, so this is the natural lifetime.
-
-    The arena has two storage modes, chosen per :meth:`begin`: *dense*
-    (the historical row matrix) and *sparse* (each row as a run of
-    ``(column, value)`` entries in flat capacity-doubling arrays, plus a
-    per-row entry count). The scalar arenas — rhs, weights, prior flags —
-    are shared between modes.
+    system recycles the arenas, invalidating the previous system's views.
+    Sweep trials fit sequentially, so this is the natural lifetime.
     """
 
     #: Initial row capacity of a fresh arena.
     INITIAL_CAPACITY = 256
-    #: Initial flat (column, value) entry capacity of the sparse arena.
+    #: Initial flat (column, value) entry capacity of a fresh arena.
     INITIAL_ENTRIES = 1024
 
     def __init__(self) -> None:
-        self._rows: Optional[np.ndarray] = None
-        self._rhs: Optional[np.ndarray] = None
-        self._weights: Optional[np.ndarray] = None
-        self._prior: Optional[np.ndarray] = None
-        # Sparse-mode arenas: per-row entry counts plus flat entry arrays.
-        self._row_lengths: Optional[np.ndarray] = None
-        self._flat_columns: Optional[np.ndarray] = None
-        self._flat_values: Optional[np.ndarray] = None
-        self._entry_count = 0
-        self._sparse = False
-        self._width = -1
+        self._rhs = np.empty(self.INITIAL_CAPACITY)
+        self._weights = np.empty(self.INITIAL_CAPACITY)
+        self._prior = np.empty(self.INITIAL_CAPACITY, dtype=bool)
+        self._row_lengths = np.empty(self.INITIAL_CAPACITY, dtype=np.int64)
+        self._columns = np.empty(self.INITIAL_ENTRIES, dtype=np.int64)
+        self._values = np.empty(self.INITIAL_ENTRIES)
         self._count = 0
+        self._entry_count = 0
         # Bumped on every begin(); systems remember the generation they
         # were issued so a stale system can never read a recycled arena.
         self._generation = 0
 
-    def begin(self, num_unknowns: int, sparse: bool = False) -> int:
-        """Recycle the arena for a new system; returns its generation."""
-        if self._rhs is None:
-            self._rhs = np.empty(self.INITIAL_CAPACITY)
-            self._weights = np.empty(self.INITIAL_CAPACITY)
-            self._prior = np.empty(self.INITIAL_CAPACITY, dtype=bool)
-        self._sparse = sparse
-        if sparse:
-            if self._row_lengths is None:
-                self._row_lengths = np.empty(self._rhs.shape[0], dtype=np.int64)
-            if self._flat_columns is None:
-                self._flat_columns = np.empty(self.INITIAL_ENTRIES, dtype=np.int64)
-                self._flat_values = np.empty(self.INITIAL_ENTRIES)
-        elif self._rows is None or self._width != num_unknowns:
-            self._rows = np.empty((self._rhs.shape[0], num_unknowns))
-        self._width = num_unknowns
+    def begin(self) -> int:
+        """Recycle the arenas for a new system; returns its generation."""
         self._count = 0
         self._entry_count = 0
         self._generation += 1
@@ -115,48 +72,17 @@ class SystemWorkspace:
         """Identity of the arena's current (live) system."""
         return self._generation
 
-    def _ensure(self, needed: int) -> None:
-        """Grow the per-row arenas of the current mode to ``needed`` rows."""
-        names = ["_rhs", "_weights", "_prior"]
-        names.append("_row_lengths" if self._sparse else "_rows")
+    def _grow(self, names: "tuple[str, ...]", used: int, needed: int) -> None:
+        """Grow the named arenas to ``needed`` slots, keeping ``used``."""
         for name in names:
             old = getattr(self, name)
             if needed <= old.shape[0]:
                 continue
-            capacity = max(needed, 2 * old.shape[0])
-            shape = (capacity, self._width) if old.ndim == 2 else (capacity,)
-            grown = np.empty(shape, dtype=old.dtype)
-            grown[: self._count] = old[: self._count]
-            setattr(self, name, grown)
-
-    def _ensure_entries(self, needed: int) -> None:
-        """Grow the flat sparse-entry arenas to ``needed`` entries."""
-        for name in ("_flat_columns", "_flat_values"):
-            old = getattr(self, name)
-            if needed <= old.shape[0]:
-                continue
             grown = np.empty(max(needed, 2 * old.shape[0]), dtype=old.dtype)
-            grown[: self._entry_count] = old[: self._entry_count]
+            grown[:used] = old[:used]
             setattr(self, name, grown)
 
     def append(
-        self,
-        rows: np.ndarray,
-        rhs: np.ndarray,
-        weights: np.ndarray,
-        prior: bool,
-    ) -> None:
-        """Copy one validated dense equation block into the arena."""
-        count = rows.shape[0]
-        self._ensure(self._count + count)
-        stop = self._count + count
-        self._rows[self._count : stop] = rows
-        self._rhs[self._count : stop] = rhs
-        self._weights[self._count : stop] = weights
-        self._prior[self._count : stop] = prior
-        self._count = stop
-
-    def append_sparse(
         self,
         columns: np.ndarray,
         values: np.ndarray,
@@ -165,18 +91,17 @@ class SystemWorkspace:
         weights: np.ndarray,
         prior: bool,
     ) -> None:
-        """Copy one validated sparse equation block into the arena."""
-        count = row_lengths.shape[0]
-        self._ensure(self._count + count)
-        self._ensure_entries(self._entry_count + columns.shape[0])
-        stop = self._count + count
+        """Copy one validated block of entry-run equations into the arenas."""
+        stop = self._count + row_lengths.shape[0]
+        entry_stop = self._entry_count + columns.shape[0]
+        self._grow(("_rhs", "_weights", "_prior", "_row_lengths"), self._count, stop)
+        self._grow(("_columns", "_values"), self._entry_count, entry_stop)
         self._row_lengths[self._count : stop] = row_lengths
         self._rhs[self._count : stop] = rhs
         self._weights[self._count : stop] = weights
         self._prior[self._count : stop] = prior
-        entry_stop = self._entry_count + columns.shape[0]
-        self._flat_columns[self._entry_count : entry_stop] = columns
-        self._flat_values[self._entry_count : entry_stop] = values
+        self._columns[self._entry_count : entry_stop] = columns
+        self._values[self._entry_count : entry_stop] = values
         self._count = stop
         self._entry_count = entry_stop
 
@@ -184,10 +109,6 @@ class SystemWorkspace:
     def num_equations(self) -> int:
         """Rows appended since the last :meth:`begin`."""
         return self._count
-
-    def matrix_view(self) -> np.ndarray:
-        """The live system's coefficient rows (a view into the arena)."""
-        return self._rows[: self._count]
 
     def rhs_view(self) -> np.ndarray:
         """The live system's right-hand sides (a view into the arena)."""
@@ -201,11 +122,11 @@ class SystemWorkspace:
         """The live system's prior-row mask (a view into the arena)."""
         return self._prior[: self._count]
 
-    def sparse_views(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """The live sparse system's ``(columns, values, row_lengths)``."""
+    def entry_views(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The live system's ``(columns, values, row_lengths)``."""
         return (
-            self._flat_columns[: self._entry_count],
-            self._flat_values[: self._entry_count],
+            self._columns[: self._entry_count],
+            self._values[: self._entry_count],
             self._row_lengths[: self._count],
         )
 
@@ -245,45 +166,30 @@ class EquationSystem:
     dominate the solve. Weights scale rows and right-hand sides together, so
     the row space — and therefore identifiability — is unchanged.
 
-    Equations are stored as blocks: :meth:`add` appends a 1-row block,
-    :meth:`add_batch` appends a whole matrix at once (no per-row Python
-    overhead), which is the entry point the batched estimators use. With a
-    :class:`SystemWorkspace`, blocks land in the workspace's reusable
-    arena instead (one live system per workspace at a time — beginning a
-    newer system there invalidates this one's matrix views).
-
-    With ``sparse=True`` rows are stored as ``(column, value)`` entry runs
-    (:meth:`add_sparse_batch`) instead of width-``num_unknowns`` vectors:
-    the storage cost is the number of nonzeros, not rows x unknowns. The
-    solve deduplicates on the sparse keys, densifies *only* the unique
-    rows, and then runs the identical QR/NNLS path — solutions are
-    bit-identical to the dense storage mode for the same equations.
+    Each Eq. 1 row touches one unknown per correlation subset its path set
+    covers, so rows are stored as ``(column, value)`` entry runs in a
+    :class:`SystemWorkspace`: :meth:`add_sparse_batch` appends runs
+    directly, while :meth:`add` and :meth:`add_batch` take dense rows (e.g.
+    the estimators' prior rows) and convert them. The solve deduplicates on
+    the entry runs and densifies only the unique rows. A system given a
+    shared ``workspace`` grows in its arenas (one live system per workspace
+    at a time — beginning a newer system there invalidates this one);
+    otherwise it owns a private one.
     """
 
     def __init__(
         self,
         num_unknowns: int,
         workspace: Optional[SystemWorkspace] = None,
-        sparse: bool = False,
     ) -> None:
         if num_unknowns < 0:
             raise EstimationError("num_unknowns must be non-negative")
         self.num_unknowns = num_unknowns
-        self.sparse = sparse
-        self._workspace = workspace
-        self._generation = workspace.begin(num_unknowns, sparse) if workspace else 0
-        self._blocks: List[np.ndarray] = []
-        self._rhs_blocks: List[np.ndarray] = []
-        self._weight_blocks: List[np.ndarray] = []
-        self._prior_blocks: List[np.ndarray] = []
-        # Sparse-mode blocks (workspace-less systems only).
-        self._column_blocks: List[np.ndarray] = []
-        self._value_blocks: List[np.ndarray] = []
-        self._length_blocks: List[np.ndarray] = []
-        self._num_equations = 0
+        self._workspace = workspace if workspace is not None else SystemWorkspace()
+        self._generation = self._workspace.begin()
 
     def __len__(self) -> int:
-        return self._num_equations
+        return self._arena().num_equations
 
     def add(
         self, row: np.ndarray, rhs: float, weight: float = 1.0, prior: bool = False
@@ -311,7 +217,7 @@ class EquationSystem:
         weights: Optional[np.ndarray] = None,
         prior: bool = False,
     ) -> None:
-        """Append a block of equations in one call.
+        """Append a block of dense equation rows in one call.
 
         Parameters
         ----------
@@ -334,37 +240,18 @@ class EquationSystem:
             raise EstimationError("rows and rhs lengths differ")
         if rows.shape[0] == 0:
             return
-        if weights is None:
-            weights = np.ones(rows.shape[0])
-        else:
-            weights = np.asarray(weights, dtype=float).reshape(-1)
-            if weights.shape[0] != rows.shape[0]:
-                raise EstimationError("rows and weights lengths differ")
-        if np.any(weights <= 0.0):
-            raise EstimationError("equation weight must be positive")
-        if self.sparse:
-            # Dense rows entering a sparse system (e.g. the prior rows the
-            # estimators build positionally) are converted to entry runs;
-            # np.nonzero walks row-major, so columns come out ascending
-            # per row — already canonical for duplicate grouping.
-            row_ids, columns = np.nonzero(rows)
-            self._append_sparse(
-                columns.astype(np.int64),
-                rows[row_ids, columns],
-                np.bincount(row_ids, minlength=rows.shape[0]).astype(np.int64),
-                rhs,
-                weights,
-                prior,
-            )
-            return
-        if self._workspace is not None:
-            self._arena().append(rows, rhs, weights, bool(prior))
-        else:
-            self._blocks.append(rows)
-            self._rhs_blocks.append(rhs)
-            self._weight_blocks.append(weights)
-            self._prior_blocks.append(np.full(rows.shape[0], bool(prior)))
-        self._num_equations += rows.shape[0]
+        weights = self._checked_weights(weights, rows.shape[0])
+        # np.nonzero walks row-major, so columns come out ascending per
+        # row — already the canonical run order for duplicate grouping.
+        row_ids, columns = np.nonzero(rows)
+        self._arena().append(
+            columns.astype(np.int64),
+            rows[row_ids, columns],
+            np.bincount(row_ids, minlength=rows.shape[0]).astype(np.int64),
+            rhs,
+            weights,
+            bool(prior),
+        )
 
     def add_sparse_batch(
         self,
@@ -375,7 +262,7 @@ class EquationSystem:
         values: Optional[np.ndarray] = None,
         prior: bool = False,
     ) -> None:
-        """Append a block of sparse equations in one call.
+        """Append a block of entry-run equations in one call.
 
         Parameters
         ----------
@@ -383,7 +270,7 @@ class EquationSystem:
             Flat array concatenating each row's unknown indices. Indices
             must be distinct within a row (any order; rows are
             canonicalised to ascending column order internally so that
-            duplicate detection matches the dense storage mode exactly).
+            identical rows group together in the solve).
         row_lengths:
             Entries per row, shape (k,); ``sum(row_lengths) == len(columns)``.
         rhs:
@@ -395,9 +282,13 @@ class EquationSystem:
             (the 0/1 Eq. 1 rows).
         prior:
             Marks the whole block as regulariser rows (see :meth:`add`).
+
+        Raises
+        ------
+        EstimationError
+            On mismatched lengths, an out-of-range column, a column
+            repeated within a row, or a non-positive weight.
         """
-        if not self.sparse:
-            raise EstimationError("add_sparse_batch requires a sparse system")
         columns = np.asarray(columns, dtype=np.int64).reshape(-1)
         row_lengths = np.asarray(row_lengths, dtype=np.int64).reshape(-1)
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
@@ -417,57 +308,29 @@ class EquationSystem:
             values = np.asarray(values, dtype=float).reshape(-1)
             if values.shape[0] != columns.shape[0]:
                 raise EstimationError("columns and values lengths differ")
-        if weights is None:
-            weights = np.ones(row_lengths.shape[0])
-        else:
-            weights = np.asarray(weights, dtype=float).reshape(-1)
-            if weights.shape[0] != row_lengths.shape[0]:
-                raise EstimationError("rows and weights lengths differ")
-        if np.any(weights <= 0.0):
-            raise EstimationError("equation weight must be positive")
+        weights = self._checked_weights(weights, row_lengths.shape[0])
         if columns.size:
-            # Canonical ascending-column order per row: makes the sparse
-            # duplicate keys agree with dense byte-level row equality.
+            # Canonical ascending-column order per row, so identical rows
+            # produce identical entry runs.
             row_ids = np.repeat(np.arange(row_lengths.shape[0]), row_lengths)
             order = np.lexsort((columns, row_ids))
             columns = columns[order]
             values = values[order]
-        self._append_sparse(columns, values, row_lengths, rhs, weights, prior)
+            if np.any((columns[1:] == columns[:-1]) & (row_ids[1:] == row_ids[:-1])):
+                raise EstimationError("sparse row repeats a column index")
+        self._arena().append(columns, values, row_lengths, rhs, weights, bool(prior))
 
-    def _append_sparse(
-        self,
-        columns: np.ndarray,
-        values: np.ndarray,
-        row_lengths: np.ndarray,
-        rhs: np.ndarray,
-        weights: np.ndarray,
-        prior: bool,
-    ) -> None:
-        if self._workspace is not None:
-            self._arena().append_sparse(
-                columns, values, row_lengths, rhs, weights, bool(prior)
-            )
-        else:
-            self._column_blocks.append(columns)
-            self._value_blocks.append(values)
-            self._length_blocks.append(row_lengths)
-            self._rhs_blocks.append(rhs)
-            self._weight_blocks.append(weights)
-            self._prior_blocks.append(np.full(row_lengths.shape[0], bool(prior)))
-        self._num_equations += row_lengths.shape[0]
-
-    def _sparse_data(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """The sparse system's ``(columns, values, row_lengths)`` arrays."""
-        if self._workspace is not None:
-            return self._arena().sparse_views()
-        if not self._length_blocks:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, np.zeros(0), empty
-        return (
-            np.concatenate(self._column_blocks),
-            np.concatenate(self._value_blocks),
-            np.concatenate(self._length_blocks),
-        )
+    @staticmethod
+    def _checked_weights(weights: Optional[np.ndarray], count: int) -> np.ndarray:
+        """Per-equation precisions: default 1, one per row, all positive."""
+        if weights is None:
+            return np.ones(count)
+        weights = np.asarray(weights, dtype=float).reshape(-1)
+        if weights.shape[0] != count:
+            raise EstimationError("rows and weights lengths differ")
+        if np.any(weights <= 0.0):
+            raise EstimationError("equation weight must be positive")
+        return weights
 
     def _arena(self) -> SystemWorkspace:
         """The backing workspace, after checking this system still owns it."""
@@ -482,69 +345,40 @@ class EquationSystem:
     def matrix(self) -> np.ndarray:
         """The system matrix A, shape (num_equations, num_unknowns).
 
-        In sparse storage mode this *materialises* the full dense matrix
-        (diagnostics/tests only — the solve never does this).
+        *Materialises* the dense matrix from the entry runs (diagnostics
+        and tests only — the solve never does this).
         """
-        if self.sparse:
-            columns, values, row_lengths = self._sparse_data()
-            matrix = np.zeros((row_lengths.shape[0], self.num_unknowns))
-            if columns.size:
-                row_ids = np.repeat(np.arange(row_lengths.shape[0]), row_lengths)
-                matrix[row_ids, columns] = values
-            return matrix
-        if self._workspace is not None:
-            return self._arena().matrix_view()
-        if not self._blocks:
-            return np.zeros((0, self.num_unknowns))
-        return np.concatenate(self._blocks, axis=0)
+        columns, values, row_lengths = self._arena().entry_views()
+        matrix = np.zeros((row_lengths.shape[0], self.num_unknowns))
+        row_ids = np.repeat(np.arange(row_lengths.shape[0]), row_lengths)
+        matrix[row_ids, columns] = values
+        return matrix
 
     @property
     def storage_nbytes(self) -> int:
-        """Logical bytes of the stored equations (matrix + rhs/weights/prior).
+        """Logical bytes of the stored equations.
 
-        Dense storage pays ``num_equations x num_unknowns`` float64 cells
-        regardless of sparsity; sparse storage pays one ``(column, value)``
-        pair per nonzero plus a per-row length. Solve-time transients are
-        deliberately excluded: the solver densifies *unique* rows in both
-        modes, so transient peaks are shared while storage is where the
-        sparse path wins — the ``scaling-topology`` study gates on this.
+        One ``(column, value)`` pair per nonzero, plus a per-row entry
+        count, rhs, weight and prior flag. Solve-time transients (the
+        densified unique rows) are deliberately excluded.
         """
-        per_row = self._num_equations * (8 + 8 + 1)  # rhs, weight, prior
-        if self.sparse:
-            if self._workspace is not None:
-                columns, _, _ = self._arena().sparse_views()
-                entries = int(columns.shape[0])
-            else:
-                entries = sum(int(b.shape[0]) for b in self._column_blocks)
-            return entries * (8 + 8) + self._num_equations * 8 + per_row
-        return self._num_equations * self.num_unknowns * 8 + per_row
+        columns, _, row_lengths = self._arena().entry_views()
+        return columns.shape[0] * (8 + 8) + row_lengths.shape[0] * (8 + 8 + 8 + 1)
 
     @property
     def rhs(self) -> np.ndarray:
         """The right-hand side b, shape (num_equations,)."""
-        if self._workspace is not None:
-            return self._arena().rhs_view()
-        if not self._rhs_blocks:
-            return np.zeros(0)
-        return np.concatenate(self._rhs_blocks)
+        return self._arena().rhs_view()
 
     @property
     def weights(self) -> np.ndarray:
         """Per-equation precisions, shape (num_equations,)."""
-        if self._workspace is not None:
-            return self._arena().weights_view()
-        if not self._weight_blocks:
-            return np.zeros(0)
-        return np.concatenate(self._weight_blocks)
+        return self._arena().weights_view()
 
     @property
     def prior_mask(self) -> np.ndarray:
         """Boolean mask of regulariser rows, shape (num_equations,)."""
-        if self._workspace is not None:
-            return self._arena().prior_view()
-        if not self._prior_blocks:
-            return np.zeros(0, dtype=bool)
-        return np.concatenate(self._prior_blocks)
+        return self._arena().prior_view()
 
     @staticmethod
     def _solve_bounded(
@@ -598,107 +432,17 @@ class EquationSystem:
                 rank=0,
                 residual=0.0,
             )
-        if self._num_equations == 0:
+        if len(self) == 0:
             raise EstimationError("cannot solve an empty equation system")
-        if self.sparse:
-            return self._solve_sparse(tol, upper_bound)
-        matrix = self.matrix
-        rhs = self.rhs
-        weights = self.weights
-        # Equations from different path sets frequently share a coefficient
-        # row; a duplicate group {(r, b_i, w_i)} contributes
-        # ``sum w_i^2 (r.x - b_i)^2 = W^2 (r.x - b_bar)^2 + const`` with
-        # ``W^2 = sum w_i^2`` and ``b_bar`` the precision-weighted mean, so
-        # merging duplicates leaves the minimiser set exactly unchanged
-        # while shrinking the factorizations below.
-        first_of_group, inverse = _group_duplicate_rows(matrix)
-        unique_rows = matrix[first_of_group]
-        if unique_rows.shape[0] < matrix.shape[0]:
-            precision = weights * weights
-            group_precision = np.bincount(inverse, weights=precision)
-            group_rhs = (
-                np.bincount(inverse, weights=precision * rhs) / group_precision
-            )
-            group_weight = np.sqrt(group_precision)
-            weighted_matrix = unique_rows * group_weight[:, None]
-            weighted_rhs = group_rhs * group_weight
-        else:
-            weighted_matrix = matrix * weights[:, None]
-            weighted_rhs = rhs * weights
-        # Compress the least-squares problem through a thin QR: with
-        # A = Q R, ``||A x - b|| = ||R x - Q' b||`` up to a constant, so
-        # every solver below works on the (n, n) triangle instead of the
-        # (num_equations, n) stack. Minimiser sets are identical.
-        q_factor, r_factor = np.linalg.qr(weighted_matrix)
-        compressed_rhs = q_factor.T @ weighted_rhs
-        if upper_bound is None:
-            values, _, _, _ = np.linalg.lstsq(r_factor, compressed_rhs, rcond=None)
-        else:
-            # NNLS solves the bounded problem exactly whether or not the
-            # bound binds, so no unconstrained pre-solve is needed (on the
-            # log-probability systems the bound almost always binds).
-            values = self._solve_bounded(r_factor, compressed_rhs, upper_bound)
-        data_mask = ~self.prior_mask
-        data_matrix = matrix[data_mask]
-        data_rhs = rhs[data_mask]
-        if data_matrix.shape[0] == 0:
-            raise EstimationError("cannot solve a system with only prior equations")
-        # Rank and null space of the data rows, via SVD of their QR
-        # triangle: A'A = R'R, so singular values and right singular
-        # vectors coincide while the decomposition runs on (n, n).
-        # Duplicate rows don't change the row space, so only one
-        # representative per group enters the factorization — the groups
-        # come from the pass above restricted to data rows (rows within a
-        # group are identical, so any representative works).
-        data_groups = np.unique(inverse[data_mask])
-        data_unique = matrix[first_of_group[data_groups]]
-        data_triangle = np.linalg.qr(data_unique, mode="r")
-        _, singular_values, vt = np.linalg.svd(data_triangle, full_matrices=True)
-        if singular_values.size and singular_values.max() > 0:
-            cutoff = tol * max(data_unique.shape) * singular_values.max()
-            rank = int((singular_values > cutoff).sum())
-        else:
-            rank = 0
-        basis = vt[rank:].T
-        if basis.shape[1] == 0:
-            identifiable = np.ones(self.num_unknowns, dtype=bool)
-        else:
-            # Unknown i is pinned down iff every null vector has a zero
-            # i-th coordinate.
-            identifiable = np.abs(basis).max(axis=1) <= 1e-7
-        fitted = data_matrix @ values
-        residual = (
-            float(np.sqrt(np.mean((fitted - data_rhs) ** 2)))
-            if len(data_rhs)
-            else 0.0
-        )
-        return Solution(
-            values=values,
-            identifiable=identifiable,
-            rank=rank,
-            residual=residual,
-        )
-
-    def _solve_sparse(
-        self, tol: float, upper_bound: Optional[float]
-    ) -> Solution:
-        """The sparse-storage solve: dedup on entry runs, densify uniques.
-
-        Mirrors the dense :meth:`solve` step for step — same duplicate
-        grouping (canonical entry runs make the sparse keys agree with
-        dense byte equality), same grouped-precision merge, same QR/NNLS
-        and identifiability factorizations on the same float inputs — so
-        solutions are bit-identical while only the *unique* rows ever
-        densify to ``num_unknowns`` width.
-        """
-        columns, entry_values, row_lengths = self._sparse_data()
+        columns, entry_values, row_lengths = self._arena().entry_views()
         rhs = self.rhs
         weights = self.weights
         num_rows = row_lengths.shape[0]
         indptr = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(row_lengths, out=indptr[1:])
+        # Group identical rows (first-seen order) by their entry runs.
         groups: dict = {}
-        first_of_group_list: List[int] = []
+        first_of_group_list = []
         inverse = np.empty(num_rows, dtype=np.intp)
         for i in range(num_rows):
             start, stop = indptr[i], indptr[i + 1]
@@ -718,6 +462,12 @@ class EquationSystem:
         for group, i in enumerate(first_of_group):
             start, stop = indptr[i], indptr[i + 1]
             unique_rows[group, columns[start:stop]] = entry_values[start:stop]
+        # Equations from different path sets frequently share a coefficient
+        # row; a duplicate group {(r, b_i, w_i)} contributes
+        # ``sum w_i^2 (r.x - b_i)^2 = W^2 (r.x - b_bar)^2 + const`` with
+        # ``W^2 = sum w_i^2`` and ``b_bar`` the precision-weighted mean, so
+        # merging duplicates leaves the minimiser set exactly unchanged
+        # while shrinking the factorizations below.
         if num_groups < num_rows:
             precision = weights * weights
             group_precision = np.bincount(inverse, weights=precision)
@@ -730,16 +480,28 @@ class EquationSystem:
         else:
             weighted_matrix = unique_rows * weights[:, None]
             weighted_rhs = rhs * weights
+        # Compress the least-squares problem through a thin QR: with
+        # A = Q R, ``||A x - b|| = ||R x - Q' b||`` up to a constant, so
+        # every solver below works on the (n, n) triangle instead of the
+        # (num_equations, n) stack. Minimiser sets are identical.
         q_factor, r_factor = np.linalg.qr(weighted_matrix)
         compressed_rhs = q_factor.T @ weighted_rhs
         if upper_bound is None:
             values, _, _, _ = np.linalg.lstsq(r_factor, compressed_rhs, rcond=None)
         else:
+            # NNLS solves the bounded problem exactly whether or not the
+            # bound binds, so no unconstrained pre-solve is needed (on the
+            # log-probability systems the bound almost always binds).
             values = self._solve_bounded(r_factor, compressed_rhs, upper_bound)
         data_mask = ~self.prior_mask
         data_rhs = rhs[data_mask]
         if data_rhs.shape[0] == 0:
             raise EstimationError("cannot solve a system with only prior equations")
+        # Rank and null space of the data rows, via SVD of their QR
+        # triangle: A'A = R'R, so singular values and right singular
+        # vectors coincide while the decomposition runs on (n, n).
+        # Duplicate rows don't change the row space, so only one
+        # representative per group enters the factorization.
         data_groups = np.unique(inverse[data_mask])
         data_unique = unique_rows[data_groups]
         data_triangle = np.linalg.qr(data_unique, mode="r")
@@ -753,11 +515,12 @@ class EquationSystem:
         if basis.shape[1] == 0:
             identifiable = np.ones(self.num_unknowns, dtype=bool)
         else:
+            # Unknown i is pinned down iff every null vector has a zero
+            # i-th coordinate.
             identifiable = np.abs(basis).max(axis=1) <= 1e-7
         # One matvec over the unique data rows; every duplicate row's
-        # fitted value equals its representative's (identical row bytes),
-        # so scattering through the group ids reproduces the dense
-        # per-row residual exactly.
+        # fitted value equals its representative's, so scattering through
+        # the group ids gives the per-row residual.
         fitted_unique = data_unique @ values
         fitted = fitted_unique[np.searchsorted(data_groups, inverse[data_mask])]
         residual = float(np.sqrt(np.mean((fitted - data_rhs) ** 2)))

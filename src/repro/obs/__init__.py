@@ -13,8 +13,7 @@ The observability layer for the whole package, switched by
   survive thread and process boundaries; rendered as a flame-style
   tree by :mod:`repro.obs.render` and the ``repro-tomography obs``
   CLI.
-* **Timer** (:mod:`repro.obs.timer`): the bare wall-clock primitive
-  (formerly ``repro.util.timer``).
+* **Timer** (:mod:`repro.obs.timer`): the bare wall-clock primitive.
 * **Analysis** (:mod:`repro.obs.analyze`): post-hoc trace analytics —
   critical-path decomposition per root span, runner shard
   utilization/straggler reports, and cross-run diffing of per-span

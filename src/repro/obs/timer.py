@@ -1,4 +1,4 @@
-"""Wall-clock timer (absorbed from ``repro.util.timer``).
+"""Wall-clock timer.
 
 ``Timer`` is the telemetry-free primitive: two ``perf_counter`` calls
 and an ``elapsed`` attribute, exactly what the experiment harness and

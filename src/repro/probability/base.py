@@ -71,7 +71,10 @@ class EstimatorConfig:
     requested_subset_size:
         Compute the probabilities of all correlation subsets up to this many
         links (Section 4's "sets of one, two, or three links" resource
-        knob). Individual links need size 1; Fig. 4(d) uses 2.
+        knob). Individual links need size 1; Fig. 4(d) uses 2. Size 1
+        admits multi-link unknowns only as the observed path sets demand
+        them (:meth:`~repro.probability.subsets.SubsetIndex.build_observed`),
+        the configuration for internet-scale topologies.
     hard_subset_cap:
         Absolute bound on the size of any unknown admitted to the index;
         equations that would touch a larger subset are unusable.
@@ -94,15 +97,6 @@ class EstimatorConfig:
         accordingly. The Correlation-heuristic baseline deliberately ignores
         this (its unweighted redundant pool is the noise source the paper
         describes).
-    sparse:
-        Assemble and solve the equation system in sparse-row storage
-        (column-index + value runs instead of dense ``num_unknowns``-wide
-        rows). Purely a storage/solve-mechanics switch: admitted unknowns,
-        equations, and solutions are bit-identical to the dense path —
-        combine with ``requested_subset_size=1`` (lazily-discovered
-        unknowns, see
-        :meth:`~repro.probability.subsets.SubsetIndex.build_observed`)
-        for the full internet-scale configuration.
     seed:
         Randomness for sampled candidate pools and tie-breaking.
     """
@@ -117,7 +111,6 @@ class EstimatorConfig:
     pruning_tolerance: float = 0.02
     prior_weight: float = 1.0
     prior_mode: str = "independence"
-    sparse: bool = False
     seed: Optional[int] = 7
 
     def validate(self) -> None:

@@ -258,12 +258,7 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
             context.index, context.frequency, context.pool, context.path_sets
         )
         all_sets = list(context.path_sets) + list(context.extra_path_sets)
-        if self.config.sparse:
-            flat_positions, row_lengths, usable = context.index.decompose_batch(
-                all_sets
-            )
-        else:
-            rows, usable = context.index.rows_matrix(all_sets)
+        flat_positions, row_lengths, usable = context.index.decompose_batch(all_sets)
         if not usable.all():
             raise EstimationError("selected path set became unusable")
         freqs = context.frequency.query_many(all_sets)
@@ -272,17 +267,8 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
             if self.config.weighted
             else np.ones(len(all_sets))
         )
-        system = EquationSystem(
-            len(context.index),
-            workspace=context.system_workspace,
-            sparse=self.config.sparse,
-        )
-        if self.config.sparse:
-            system.add_sparse_batch(
-                flat_positions, row_lengths, np.log(freqs), weights
-            )
-        else:
-            system.add_batch(rows, np.log(freqs), weights)
+        system = EquationSystem(len(context.index), workspace=context.system_workspace)
+        system.add_sparse_batch(flat_positions, row_lengths, np.log(freqs), weights)
         self._add_prior_equations(system, context.index)
         context.system = system
         context.used_path_sets = list(context.path_sets)
@@ -452,7 +438,7 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         if not fresh:
             return []
         frequencies = frequency.query_many(fresh)
-        _, usable = index.rows_matrix(fresh)
+        _, _, usable = index.decompose_batch(fresh)
         keep = usable & (frequencies > self.config.min_frequency)
         return [path_set for path_set, ok in zip(fresh, keep) if ok]
 
@@ -481,6 +467,9 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         """
         if self.config.prior_weight <= 0.0:
             return
+        columns: List[int] = []
+        values: List[float] = []
+        row_lengths: List[int] = []
         for subset in index.subsets:
             if len(subset) < 2:
                 continue
@@ -492,16 +481,21 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
                 singleton_positions.append(index.position(singleton))
             else:
                 if self.config.prior_mode == "independence":
-                    row = np.zeros(len(index))
-                    row[index.position(subset)] = 1.0
-                    row[singleton_positions] -= 1.0
-                    system.add(row, 0.0, self.config.prior_weight, prior=True)
+                    members = [singleton_positions]
                 else:
-                    for position in singleton_positions:
-                        row = np.zeros(len(index))
-                        row[index.position(subset)] = 1.0
-                        row[position] -= 1.0
-                        system.add(row, 0.0, self.config.prior_weight, prior=True)
+                    members = [[position] for position in singleton_positions]
+                for singletons in members:
+                    columns += [index.position(subset), *singletons]
+                    values += [1.0] + [-1.0] * len(singletons)
+                    row_lengths.append(1 + len(singletons))
+        system.add_sparse_batch(
+            columns,
+            row_lengths,
+            np.zeros(len(row_lengths)),
+            np.full(len(row_lengths), self.config.prior_weight),
+            values,
+            prior=True,
+        )
 
 
 class CorrelationCompleteNoRedundancy(CorrelationCompleteEstimator):

@@ -93,34 +93,16 @@ class CorrelationHeuristicEstimator(ProbabilityEstimator):
         frequencies = context.frequency.query_many(deduped)
         frequent = frequencies > self.config.min_frequency
         candidates = [s for s, keep in zip(deduped, frequent) if keep]
-        if self.config.sparse:
-            flat_positions, row_lengths, usable = context.index.decompose_batch(
-                candidates
-            )
-            if row_lengths.shape[0] == 0:
-                raise EstimationError(
-                    "Correlation-heuristic: no usable path-set equations"
-                )
-        else:
-            rows, usable = context.index.rows_matrix(candidates)
-            if rows.shape[0] == 0:
-                raise EstimationError(
-                    "Correlation-heuristic: no usable path-set equations"
-                )
+        flat_positions, row_lengths, usable = context.index.decompose_batch(candidates)
+        if row_lengths.shape[0] == 0:
+            raise EstimationError("Correlation-heuristic: no usable path-set equations")
         context.used_path_sets = [
             s for s, keep in zip(candidates, usable) if keep
         ]
-        system = EquationSystem(
-            len(context.index),
-            workspace=context.system_workspace,
-            sparse=self.config.sparse,
+        system = EquationSystem(len(context.index), workspace=context.system_workspace)
+        system.add_sparse_batch(
+            flat_positions, row_lengths, np.log(frequencies[frequent][usable])
         )
-        if self.config.sparse:
-            system.add_sparse_batch(
-                flat_positions, row_lengths, np.log(frequencies[frequent][usable])
-            )
-        else:
-            system.add_batch(rows, np.log(frequencies[frequent][usable]))
         context.system = system
 
     def _stage_build_model(self, context: FitContext) -> None:

@@ -98,22 +98,14 @@ class IndependenceEstimator(ProbabilityEstimator):
             if self.config.weighted
             else np.ones(len(freqs))
         )
-        system = EquationSystem(
-            len(active),
-            workspace=context.system_workspace,
-            sparse=self.config.sparse,
-        )
-        if self.config.sparse:
-            # Equation entries straight off the boolean coverage rows —
-            # np.nonzero walks row-major, so per-row columns are already
-            # ascending (the canonical run order) and every value is 1.0.
-            kept = coverage[usable]
-            row_ids, columns = np.nonzero(kept)
-            row_lengths = np.bincount(row_ids, minlength=kept.shape[0])
-            system.add_sparse_batch(columns, row_lengths, np.log(freqs), weights)
-        else:
-            rows = coverage[usable].astype(float)
-            system.add_batch(rows, np.log(freqs), weights)
+        system = EquationSystem(len(active), workspace=context.system_workspace)
+        # Equation entries straight off the boolean coverage rows —
+        # np.nonzero walks row-major, so per-row columns are already
+        # ascending (the canonical run order) and every value is 1.0.
+        kept = coverage[usable]
+        row_ids, columns = np.nonzero(kept)
+        row_lengths = np.bincount(row_ids, minlength=kept.shape[0])
+        system.add_sparse_batch(columns, row_lengths, np.log(freqs), weights)
         context.system = system
         context.used_path_sets = [
             frozenset(path_set)

@@ -124,10 +124,9 @@ class FitReport:
         attribute both fits' traffic to whichever finished last.
     equation_storage_bytes:
         Logical bytes of the assembled equation system's storage
-        (:attr:`repro.linalg.system.EquationSystem.storage_nbytes`) —
-        dense rows pay ``equations x unknowns`` cells, sparse rows pay
-        per-nonzero entries. The scaling study reads this to compare the
-        two storage modes without solve-transient noise.
+        (:attr:`repro.linalg.system.EquationSystem.storage_nbytes`): one
+        ``(column, value)`` pair per nonzero plus per-row scalars, without
+        solve transients. The scaling study and the ledger report it.
     stage_seconds:
         Wall time per executed pipeline stage, keyed by stage name in
         execution order (see :data:`STAGE_ORDER`).

@@ -302,10 +302,12 @@ class SubsetIndex:
         Returns ``(flat_positions, row_lengths, usable)``:
         ``flat_positions`` concatenates each usable path set's unknown
         positions (in decomposition order), ``row_lengths`` holds the
-        per-row counts, and ``usable`` is the same mask
-        :meth:`rows_matrix` reports. This is the discover/assemble
-        primitive of the sparse estimation mode — rows never densify to
-        ``len(self)`` width here.
+        per-row counts, and ``usable`` is a boolean mask of length
+        ``len(path_sets)``. Unusable path sets (touching subsets outside
+        the index, or touching no unknown at all) get no row. These are
+        the entry runs
+        :meth:`~repro.linalg.system.EquationSystem.add_sparse_batch`
+        takes; rows never densify to ``len(self)`` width here.
         """
         usable = np.zeros(len(path_sets), dtype=bool)
         flat_positions: List[int] = []
@@ -322,23 +324,6 @@ class SubsetIndex:
             np.asarray(row_lengths, dtype=np.int64),
             usable,
         )
-
-    def rows_matrix(
-        self, path_sets: Sequence[Iterable[int]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``Matrix(P^, E^)`` for the *usable* path sets of a batch.
-
-        Returns ``(matrix, usable)`` where ``usable`` is a boolean mask of
-        length ``len(path_sets)`` and ``matrix`` has one row per usable path
-        set, in batch order. Unusable rows (touching subsets outside the
-        index, or touching no unknown at all) are dropped from the matrix.
-        """
-        flat_positions, row_lengths, usable = self.decompose_batch(path_sets)
-        matrix = np.zeros((row_lengths.size, len(self.subsets)))
-        if row_lengths.size:
-            row_ids = np.repeat(np.arange(row_lengths.size), row_lengths)
-            matrix[row_ids, flat_positions] = 1.0
-        return matrix, usable
 
     def paths_selector(self, subset: FrozenSet[int]) -> FrozenSet[int]:
         """The paper's path-set primitive ``Paths(E) \\ Paths(complement(E))``.

@@ -137,16 +137,7 @@ def _summarize_scaling(result: _scaling.ScalingResult) -> Dict[str, Any]:
 def _render_scaling_topology(
     result: _scaling_topology.ScalingTopologyResult,
 ) -> str:
-    ratios = ", ".join(
-        f"{size}: {ratio:.1f}x"
-        for size, ratio in sorted(result.memory_ratios().items())
-    )
-    return (
-        "Sparse vs dense internet-scale estimation path\n"
-        + result.to_table()
-        + f"\n\nbit-identical across modes: {result.bit_identical()}"
-        + (f"\ndense/sparse structure-memory ratio: {ratios}" if ratios else "")
-    )
+    return "Internet-scale construction and estimation path\n" + result.to_table()
 
 
 def _summarize_scaling_topology(
@@ -156,7 +147,6 @@ def _summarize_scaling_topology(
         "rows": [
             {
                 "num_nodes": row.num_nodes,
-                "mode": row.mode,
                 "num_links": row.num_links,
                 "num_paths": row.num_paths,
                 "num_unknowns": row.num_unknowns,
@@ -173,11 +163,6 @@ def _summarize_scaling_topology(
             }
             for row in result.rows
         ],
-        "bit_identical": result.bit_identical(),
-        "memory_ratios": {
-            str(size): ratio
-            for size, ratio in sorted(result.memory_ratios().items())
-        },
     }
 
 
@@ -301,8 +286,8 @@ CAMPAIGNS: Dict[str, CampaignDefinition] = {
     "scaling-topology": CampaignDefinition(
         name="scaling-topology",
         description=(
-            "Sparse vs dense internet-scale path: memory, runtime, and "
-            "bit-identity across 1k-10k-node power-law topologies"
+            "Internet-scale path: memory, runtime, and content digests "
+            "across 1k-10k-node power-law topologies"
         ),
         default_seed=17,
         trial_fn=_scaling_topology.scaling_topology_trial,

@@ -247,8 +247,7 @@ def select_endpoint_pairs_lazy(
 
     The draw order is deterministic in ``random_state`` but intentionally
     *not* identical to :func:`select_endpoint_pairs` (whose draws are part
-    of the bundled datasets' identity); callers comparing dense and sparse
-    topology paths must use this selector on both sides.
+    of the bundled datasets' identity).
     """
     if not len(sources) or not len(destinations):
         raise TopologyError("select_endpoint_pairs_lazy: empty pool")
@@ -280,47 +279,18 @@ def select_endpoint_pairs_lazy(
     ]
 
 
-def bfs_parents_graph(graph: nx.Graph, source: int) -> dict:
-    """First-discovery BFS parent map with ascending-neighbour tie-breaks.
-
-    Unlike ``nx.shortest_path`` (bidirectional search, whose tie-breaks
-    depend on which frontier meets first), this plain FIFO BFS visiting
-    neighbours in ascending node order is reproducible by the array-based
-    :meth:`CompactGraph.bfs_parents` — the property the scaling campaign's
-    dense/sparse bit-identity rests on. One BFS serves every destination.
-    """
-    parents = {source: source}
-    frontier = [source]
-    while frontier:
-        next_frontier: List[int] = []
-        for node in frontier:
-            for neighbor in sorted(graph.neighbors(node)):
-                if neighbor not in parents:
-                    parents[neighbor] = node
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    return parents
-
-
 def route_from_parents(parents, source: int, target: int) -> Optional[RouterRoute]:
-    """Walk a BFS parent map/array back from ``target`` to ``source``.
+    """Walk a BFS parent array back from ``target`` to ``source``.
 
-    Works on both the dict produced by :func:`bfs_parents_graph` and the
-    int array produced by :meth:`CompactGraph.bfs_parents` (where ``-1``
-    marks unreachable nodes).
+    ``parents`` is the int array produced by :meth:`CompactGraph.bfs_parents`
+    (``-1`` marks unreachable nodes).
     """
-    if isinstance(parents, dict):
-        if target not in parents:
-            return None
-        get = parents.__getitem__
-    else:
-        if target >= len(parents) or parents[int(target)] < 0:
-            return None
-        get = lambda node: int(parents[node])  # noqa: E731
+    if target >= len(parents) or parents[int(target)] < 0:
+        return None
     route = [int(target)]
     node = int(target)
     while node != source:
-        node = get(node)
+        node = int(parents[node])
         route.append(node)
     route.reverse()
     return tuple(route)
@@ -333,8 +303,8 @@ class CompactGraph:
     live in two flat numpy arrays (``indptr``/``neighbors``) instead of
     per-node dict-of-dicts, cutting a 10k-node AS graph from tens of MB of
     Python objects to a few hundred KB. Neighbour lists are sorted
-    ascending, so :meth:`bfs_parents` discovers nodes in exactly the order
-    :func:`bfs_parents_graph` does on the equivalent ``nx.Graph``.
+    ascending, so :meth:`bfs_parents` discovers nodes in a reproducible
+    order.
     """
 
     __slots__ = ("num_nodes", "indptr", "neighbors")
@@ -395,8 +365,8 @@ class CompactGraph:
     def bfs_parents(self, source: int) -> np.ndarray:
         """First-discovery BFS parent array (``-1`` = unreachable).
 
-        Mirrors :func:`bfs_parents_graph` node for node: FIFO frontier,
-        neighbours ascending, ``parents[source] == source``.
+        FIFO frontier, neighbours visited in ascending order,
+        ``parents[source] == source``.
         """
         parents = np.full(self.num_nodes, -1, dtype=np.int64)
         parents[source] = source

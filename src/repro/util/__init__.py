@@ -1,8 +1,7 @@
-"""Small shared utilities: seeded RNG helpers, subset enumeration, timers."""
+"""Small shared utilities: seeded RNG helpers and subset enumeration."""
 
 from repro.util.rng import RandomState, derive_rng, spawn_seeds
 from repro.util.subsets import bounded_subsets, nonempty_subsets, powerset
-from repro.obs.timer import Timer
 
 __all__ = [
     "RandomState",
@@ -11,5 +10,4 @@ __all__ = [
     "bounded_subsets",
     "nonempty_subsets",
     "powerset",
-    "Timer",
 ]

@@ -3,10 +3,10 @@
 The memory-bounded ingestion path: :func:`iter_caida_edges` /
 :func:`load_caida_edge_arrays` stream as-rel files into flat arrays,
 :func:`scan_nodes` counts declared nodes without building a graph, and
-:func:`derive_network_compact` derives identical monitored networks
-through the dense and the sparse (CSR) construction — including an
-in-test 10k-node synthetic graph, so the internet-scale claim is
-exercised on every tier-1 run without committing a large fixture.
+:func:`derive_network_compact` derives monitored networks through the CSR
+construction — including an in-test 10k-node synthetic graph, so the
+internet-scale claim is exercised on every tier-1 run without committing
+a large fixture.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def test_scan_nodes_missing_file_is_a_dataset_error(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Compact derivation, bit-identity, and the 10k-node graph
+# Compact derivation and the 10k-node graph
 # ----------------------------------------------------------------------
 def _spec(**overrides) -> DatasetSpec:
     base = dict(
@@ -161,47 +161,15 @@ def _spec(**overrides) -> DatasetSpec:
     return DatasetSpec(**base)
 
 
-def _assert_networks_identical(dense, sparse):
-    assert dense.num_links == sparse.num_links
-    assert dense.num_paths == sparse.num_paths
-    for dense_link, sparse_link in zip(dense.links, sparse.links):
-        assert dense_link.src == sparse_link.src
-        assert dense_link.dst == sparse_link.dst
-        assert dense_link.asn == sparse_link.asn
-        assert dense_link.router_links == sparse_link.router_links
-    for dense_path, sparse_path in zip(dense.paths, sparse.paths):
-        assert dense_path.index == sparse_path.index
-        assert dense_path.links == sparse_path.links
-
-
-def test_derive_network_compact_modes_are_bit_identical():
-    src, dst = generate_powerlaw_edges(400, attachment=2, seed=9)
-    dense = derive_network_compact(400, src, dst, _spec(), "t", sparse=False)
-    sparse = derive_network_compact(400, src, dst, _spec(), "t", sparse=True)
-    _assert_networks_identical(dense, sparse)
-
-
 def test_derive_network_compact_records_construction_stats():
     src, dst = generate_powerlaw_edges(400, attachment=2, seed=9)
-    stats_dense: dict = {}
-    stats_sparse: dict = {}
+    stats: dict = {}
     tracemalloc.start()
     try:
-        derive_network_compact(
-            400, src, dst, _spec(), "t", sparse=False, stats=stats_dense
-        )
-        derive_network_compact(
-            400, src, dst, _spec(), "t", sparse=True, stats=stats_sparse
-        )
+        derive_network_compact(400, src, dst, _spec(), "t", stats=stats)
     finally:
         tracemalloc.stop()
-    assert stats_dense["construction_bytes"] > 0
-    assert stats_sparse["construction_bytes"] > 0
-    # The whole point: nx dicts + route tuples vs CSR arrays.
-    assert (
-        stats_dense["construction_bytes"]
-        > 3 * stats_sparse["construction_bytes"]
-    )
+    assert stats["construction_bytes"] > 0
     # Without tracing the dict is left untouched, not poisoned with zeros.
     untraced: dict = {}
     derive_network_compact(400, src, dst, _spec(), "t", stats=untraced)
@@ -237,7 +205,6 @@ def test_ten_thousand_node_synthetic_graph():
         dst,
         _spec(num_vantage_points=3, num_destinations=20, num_paths=30),
         "powerlaw-10k",
-        sparse=True,
     )
     assert network.num_paths > 0
     assert all(path.links for path in network.paths)

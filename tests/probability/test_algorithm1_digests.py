@@ -137,7 +137,7 @@ def fig4_digests() -> Dict[str, str]:
                     )
                 for estimator in BASELINES:
                     digests[f"fig4-baselines/{cell}/{estimator.name}"] = fit_digest(
-                        estimator(EstimatorConfig(seed=3, sparse=True)),
+                        estimator(EstimatorConfig(seed=3)),
                         network,
                         observations,
                     )
@@ -155,7 +155,7 @@ def powerlaw_digest() -> Dict[str, str]:
     experiment = run_experiment(
         scenario, 60, prober=PathProber(num_packets=120), random_state=44
     )
-    config = EstimatorConfig(requested_subset_size=1, seed=45, sparse=True)
+    config = EstimatorConfig(requested_subset_size=1, seed=45)
     estimator = CorrelationCompleteEstimator(config)
     return {
         "powerlaw-1000/Correlation-complete": fit_digest(
@@ -171,7 +171,7 @@ def scaling_topology_digests() -> Dict[str, str]:
     )
     digests = {}
     for size in SCALING_SIZES:
-        row = result.cell(size, "sparse")
+        row = result.cell(size)
         digests[f"scaling-topology/{size}/routes"] = row.route_digest
         digests[f"scaling-topology/{size}/estimates"] = row.estimate_digest
     return digests

@@ -49,6 +49,16 @@ from repro.util.subsets import bounded_subsets
 # ----------------------------------------------------------------------
 # Frozen pre-refactor reference implementations
 # ----------------------------------------------------------------------
+def _rows_matrix(index, path_sets):
+    """The pre-refactor ``SubsetIndex.rows_matrix``: dense usable rows."""
+    flat_positions, row_lengths, usable = index.decompose_batch(path_sets)
+    matrix = np.zeros((row_lengths.size, len(index.subsets)))
+    if row_lengths.size:
+        row_ids = np.repeat(np.arange(row_lengths.size), row_lengths)
+        matrix[row_ids, flat_positions] = 1.0
+    return matrix, usable
+
+
 def _attach(model, report):
     model.report = report
     return model
@@ -164,7 +174,7 @@ def legacy_heuristic_fit(config, network, observations):
     frequencies = frequency.query_many(deduped)
     frequent = frequencies > config.min_frequency
     candidates = [s for s, keep in zip(deduped, frequent) if keep]
-    rows, usable = index.rows_matrix(candidates)
+    rows, usable = _rows_matrix(index, candidates)
     if rows.shape[0] == 0:
         raise EstimationError("Correlation-heuristic: no usable path-set equations")
     used = [s for s, keep in zip(candidates, usable) if keep]
@@ -306,7 +316,7 @@ class LegacyCorrelationComplete:
             for start in range(0, len(fresh), chunk):
                 block = fresh[start : start + chunk]
                 frequencies = frequency.query_many(block)
-                rows, usable = index.rows_matrix(block)
+                rows, usable = _rows_matrix(index, block)
                 if rows.shape[0] == 0:
                     continue
                 gains = np.linalg.norm(rows @ basis, axis=1)
@@ -332,7 +342,7 @@ class LegacyCorrelationComplete:
         if not fresh:
             return []
         frequencies = frequency.query_many(fresh)
-        _, usable = index.rows_matrix(fresh)
+        _, usable = _rows_matrix(index, fresh)
         keep = usable & (frequencies > self.config.min_frequency)
         return [path_set for path_set, ok in zip(fresh, keep) if ok]
 
@@ -363,7 +373,7 @@ class LegacyCorrelationComplete:
 
     def _solve(self, network, index, path_sets, extra, frequency, always_good):
         all_sets = list(path_sets) + list(extra)
-        rows, usable = index.rows_matrix(all_sets)
+        rows, usable = _rows_matrix(index, all_sets)
         if not usable.all():
             raise EstimationError("selected path set became unusable")
         freqs = frequency.query_many(all_sets)

@@ -1,11 +1,11 @@
-"""Estimator-level sparse-vs-dense equivalence.
+"""Estimator fits through entry-run storage against the frozen dense solve.
 
-``EstimatorConfig.sparse`` flips the equation system into entry-run
-storage; every estimator must produce the *same* model — exact estimate
-floats, identifiability flags, rank, residual, selected path sets — as
-the dense configuration, on cold fits and through a shared workspace.
-This is the contract the scaling-topology campaign's digests enforce
-end-to-end; here it is pinned per estimator.
+The estimators store their equations as (column, value) entry runs. Each
+fit must produce the *same* model — exact estimate floats,
+identifiability flags, rank, residual, selected path sets — as the fit
+whose solve is the frozen dense-storage solve of
+``tests/linalg/test_sparse_system.py``, on cold fits and through a shared
+workspace.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.linalg.system import EquationSystem
 from repro.probability.base import EstimatorConfig
 from repro.probability.pipeline import SharedFitWorkspace
 from repro.probability.registry import make_estimator
 from repro.simulation.experiment import run_experiment
 from repro.simulation.probing import PathProber
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
+from tests.linalg.test_sparse_system import dense_solve_of
 
 ESTIMATORS = [
     "Independence",
@@ -38,6 +40,13 @@ def experiment(small_brite):
     )
 
 
+def _dense_fit(name, config, network, observations):
+    """A fit whose every solve is the frozen dense-storage solve."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EquationSystem, "solve", dense_solve_of)
+        return make_estimator(name, config).fit(network, observations)
+
+
 def _assert_fits_identical(dense, sparse):
     assert dense._good == sparse._good  # exact float equality
     assert dense._identifiable == sparse._identifiable
@@ -55,34 +64,29 @@ def _assert_fits_identical(dense, sparse):
 @pytest.mark.parametrize("name", ESTIMATORS)
 @pytest.mark.parametrize("subset_size", [1, 2])
 def test_sparse_flag_is_bit_identical(name, subset_size, small_brite, experiment):
-    """Dense and sparse fits agree, eagerly and with lazy admission."""
+    """Entry-run fits equal dense-solve fits, eagerly and with lazy admission."""
     observations = experiment.observations
-    dense = make_estimator(
-        name, EstimatorConfig(requested_subset_size=subset_size, seed=3)
-    ).fit(small_brite, observations)
-    sparse = make_estimator(
-        name,
-        EstimatorConfig(requested_subset_size=subset_size, sparse=True, seed=3),
-    ).fit(small_brite, observations)
+    config = EstimatorConfig(requested_subset_size=subset_size, seed=3)
+    dense = _dense_fit(name, config, small_brite, observations)
+    sparse = make_estimator(name, config).fit(small_brite, observations)
     _assert_fits_identical(dense, sparse)
-    # The storage switch is the only difference: sparse rows must be
-    # strictly lighter than the dense equations x unknowns matrix.
-    if sparse.report.num_equations:
-        assert (
-            sparse.report.equation_storage_bytes
-            < dense.report.equation_storage_bytes
-        )
+    # Entry runs are strictly lighter than the equations x unknowns
+    # float64 matrix dense rows would fill.
+    report = sparse.report
+    if report.num_equations:
+        dense_bytes = report.num_equations * report.num_unknowns * 8
+        assert report.equation_storage_bytes < dense_bytes
 
 
 @pytest.mark.parametrize("name", ESTIMATORS)
 def test_sparse_through_shared_workspace(name, small_brite, experiment):
-    """One workspace alternating dense and sparse fits never cross-talks."""
+    """Successive fits through one workspace never cross-talk."""
     observations = experiment.observations
+    config = EstimatorConfig(seed=3)
+    dense = _dense_fit(name, config, small_brite, observations)
     workspace = SharedFitWorkspace(observations)
-    dense = make_estimator(name, EstimatorConfig(seed=3)).fit(
-        small_brite, observations, workspace=workspace
-    )
-    sparse = make_estimator(name, EstimatorConfig(sparse=True, seed=3)).fit(
-        small_brite, observations, workspace=workspace
-    )
-    _assert_fits_identical(dense, sparse)
+    for _ in range(2):
+        sparse = make_estimator(name, config).fit(
+            small_brite, observations, workspace=workspace
+        )
+        _assert_fits_identical(dense, sparse)

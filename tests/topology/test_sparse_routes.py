@@ -3,13 +3,15 @@
 The internet-scale path replaces per-object Python structures with flat
 arrays: :class:`CompactGraph` (CSR adjacency), :class:`SparseRouteTable`
 (CSR route storage), :func:`select_endpoint_pairs_lazy` (O(count) pair
-selection), plus the deterministic BFS shared by both graph backends.
-The load-bearing property throughout is *identity* with the eager
-``networkx`` equivalents — the sparse structures may only change memory,
-never a route.
+selection), plus the deterministic BFS over the CSR graph. The
+load-bearing property throughout is *identity* with the eager
+``networkx`` equivalents (here a reference BFS over ``nx.Graph``) — the
+sparse structures may only change memory, never a route.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 import networkx as nx
 import numpy as np
@@ -21,11 +23,25 @@ from repro.topology.routing import (
     CompactGraph,
     RouteOracle,
     SparseRouteTable,
-    bfs_parents_graph,
     route_from_parents,
     select_endpoint_pairs_lazy,
     shortest_route,
 )
+
+
+def bfs_parents_graph(graph: nx.Graph, source: int) -> dict:
+    """Reference BFS over ``nx.Graph``: FIFO frontier, ascending neighbours."""
+    parents = {source: source}
+    frontier = [source]
+    while frontier:
+        next_frontier: List[int] = []
+        for node in frontier:
+            for neighbor in sorted(graph.neighbors(node)):
+                if neighbor not in parents:
+                    parents[neighbor] = node
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    return parents
 
 
 def _random_graph(num_nodes: int, num_edges: int, seed: int):
@@ -64,26 +80,26 @@ class TestCompactGraph:
             CompactGraph.from_edges(3, np.array([0, 1]), np.array([2]))
 
     def test_bfs_parents_identical_to_nx_backend(self):
-        """Every (source, target) route agrees between the two backends."""
+        """The CSR BFS reproduces the reference nx BFS parent for parent."""
         src, dst, graph = _random_graph(80, 200, seed=7)
         compact = CompactGraph.from_edges(80, src, dst)
         for source in (0, 13, 79):
-            dict_parents = bfs_parents_graph(graph, source)
-            array_parents = compact.bfs_parents(source)
+            reference = np.full(80, -1, dtype=np.int64)
+            for node, parent in bfs_parents_graph(graph, source).items():
+                reference[node] = parent
+            parents = compact.bfs_parents(source)
+            assert np.array_equal(parents, reference)
             for target in range(80):
-                dense = route_from_parents(dict_parents, source, target)
-                sparse = route_from_parents(array_parents, source, target)
-                assert dense == sparse
-                if dense is not None:
+                route = route_from_parents(parents, source, target)
+                if route is not None:
                     # Same hop count as a true shortest path.
                     expected = shortest_route(graph, source, target)
-                    assert len(dense) == len(expected)
+                    assert len(route) == len(expected)
 
     def test_unreachable_targets_return_none(self):
         compact = CompactGraph.from_edges(4, np.array([0]), np.array([1]))
         parents = compact.bfs_parents(0)
         assert route_from_parents(parents, 0, 3) is None
-        assert route_from_parents({0: 0}, 0, 3) is None
 
     def test_nbytes_is_array_backed(self):
         compact = CompactGraph.from_edges(

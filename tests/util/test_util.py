@@ -6,9 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.timer import Timer
 from repro.util.rng import as_generator, derive_rng, spawn_seeds
 from repro.util.subsets import bounded_subsets, nonempty_subsets, powerset
-from repro.util.timer import Timer
 
 
 def test_as_generator_from_seed():
