@@ -12,11 +12,18 @@ the rank, the residual and the equation count. The cases are
 * one 1k-node power-law deployment derived through
   :func:`~repro.datasets.base.derive_network_compact`;
 * the ``scaling-topology`` study's route and estimate digests at its
-  tiny sizes (200 and 500 nodes).
+  tiny sizes (200 and 500 nodes);
+* the tiny-scale closed-loop mitigation grid (every default scenario,
+  the Independence and Correlation-heuristic estimators, every policy),
+  one ``ClosedLoopReport`` JSON per cell;
+* the observation paths on one tiny network: :func:`oracle_path_status`,
+  the oracle blocks of a :class:`StreamingProber` and one packet-level
+  :meth:`PathProber.observe` matrix.
 
 Any change to the path-set selection, the null-space updates, the
-equation storage, the route derivation or the solve that moves a single
-bit shows up here.
+equation storage, the route derivation, the solve, the observation
+simulation or the mitigation scoring that moves a single bit shows up
+here.
 
 Digests are computed in a subprocess with one BLAS thread (the
 performance ledger's setting): unidentifiable coordinates are whichever
@@ -37,12 +44,14 @@ import sys
 from pathlib import Path
 from typing import Dict
 
+import numpy as np
 import pytest
 
 from repro.datasets.base import DatasetSpec, derive_network_compact
 from repro.datasets.synthetic import generate_powerlaw_edges
 from repro.exceptions import EstimationError
 from repro.experiments.config import TINY
+from repro.experiments.mitigation import DEFAULT_SCENARIOS, run_mitigation
 from repro.experiments.scaling_topology import run_scaling_topology
 from repro.model.status import ObservationMatrix
 from repro.probability.base import EstimatorConfig
@@ -53,7 +62,8 @@ from repro.probability.correlation_complete import (
 from repro.probability.correlation_heuristic import CorrelationHeuristicEstimator
 from repro.probability.independence import IndependenceEstimator
 from repro.simulation.experiment import run_experiment
-from repro.simulation.probing import PathProber
+from repro.mitigation.policies import policy_names
+from repro.simulation.probing import PathProber, StreamingProber, oracle_path_status
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
 from repro.topology.brite import generate_brite_network
 from repro.topology.traceroute import generate_sparse_network
@@ -177,8 +187,62 @@ def scaling_topology_digests() -> Dict[str, str]:
     return digests
 
 
+#: Estimators of the mitigation grid (the ledger's mitigation-loop pair).
+MITIGATION_ESTIMATORS = ("Independence", "Correlation-heuristic")
+
+
+def mitigation_digests() -> Dict[str, str]:
+    """One digest per tiny-scale closed-loop cell, over its report JSON."""
+    result = run_mitigation(
+        TINY,
+        seed=13,
+        estimators=list(MITIGATION_ESTIMATORS),
+        workers=1,
+        executor=None,
+    )
+    return {
+        "mitigation/" + "/".join(key): hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()
+        ).hexdigest()
+        for key, report in result.rows.items()
+    }
+
+
+def _matrix_digest(matrix) -> str:
+    matrix = np.ascontiguousarray(matrix, dtype=bool)
+    digest = hashlib.sha256(f"{matrix.shape}\n".encode())
+    digest.update(matrix.tobytes())
+    return digest.hexdigest()
+
+
+def observation_digests() -> Dict[str, str]:
+    """Oracle, streaming-oracle and packet-level observations of one
+    tiny Brite network under the random scenario."""
+    network = generate_brite_network(TINY.brite, 5)
+    scenario = build_scenario(network, ScenarioConfig(kind=ScenarioKind.RANDOM), 50)
+    link_states = scenario.ground_truth.sample(TINY.num_intervals, 51)
+    prober = PathProber(num_packets=TINY.num_packets)
+    stream = StreamingProber(network, scenario.ground_truth, chunk_intervals=37)
+    blocks = list(stream.rounds(TINY.num_intervals, random_state=52))
+    return {
+        "observations/oracle": _matrix_digest(
+            oracle_path_status(network, link_states).matrix
+        ),
+        "observations/streaming-oracle": _matrix_digest(np.concatenate(blocks)),
+        "observations/prober": _matrix_digest(
+            prober.observe(network, link_states, random_state=53).matrix
+        ),
+    }
+
+
 def compute_digests() -> Dict[str, str]:
-    return {**fig4_digests(), **powerlaw_digest(), **scaling_topology_digests()}
+    return {
+        **fig4_digests(),
+        **powerlaw_digest(),
+        **scaling_topology_digests(),
+        **mitigation_digests(),
+        **observation_digests(),
+    }
 
 
 def pinned_digests() -> Dict[str, str]:
@@ -231,6 +295,15 @@ def test_powerlaw_deployment_matches_frozen_digest(frozen, computed):
 def test_scaling_topology_matches_frozen_digests(frozen, computed):
     count = 2 * len(SCALING_SIZES)
     _assert_prefix_matches(frozen, computed, "scaling-topology/", count)
+
+
+def test_mitigation_grid_matches_frozen_digests(frozen, computed):
+    count = len(DEFAULT_SCENARIOS) * len(MITIGATION_ESTIMATORS) * len(policy_names())
+    _assert_prefix_matches(frozen, computed, "mitigation/", count)
+
+
+def test_observations_match_frozen_digests(frozen, computed):
+    _assert_prefix_matches(frozen, computed, "observations/", 3)
 
 
 if __name__ == "__main__":
