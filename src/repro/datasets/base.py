@@ -260,7 +260,6 @@ def derive_network_compact(
     builder = AsLevelBuilder(
         IdentityAsnMap(num_nodes),
         include_source_as=True,
-        sparse_paths=True,
         copy_mapping=False,
     )
     # Deterministic route order: sources ascending, then destinations

@@ -52,9 +52,8 @@ def path_congestion_rate(network: Network, link_states: np.ndarray) -> float:
     """Fraction of (interval, path) cells where the path crossed a
     congested link — the paper's path-level congestion signal, used here
     as the residual-congestion measure a mitigation is judged by."""
-    incidence = network.incidence.astype(np.int32)  # (paths, links)
-    counts = link_states.astype(np.int32) @ incidence.T  # (T, paths)
-    return float((counts > 0).mean())
+    states = np.asarray(link_states, dtype=bool)
+    return float(network.incidence.path_status(states).mean())
 
 
 @dataclass(frozen=True)
@@ -213,9 +212,12 @@ def score_closed_loop(
     pre_rate = path_congestion_rate(
         pre_experiment.network, pre_experiment.link_states
     )
-    post_rate = path_congestion_rate(
-        post_experiment.network, post_experiment.link_states
-    )
+    if post_experiment is pre_experiment:
+        post_rate = pre_rate
+    else:
+        post_rate = path_congestion_rate(
+            post_experiment.network, post_experiment.link_states
+        )
     targets = plan.target_links
     if targets:
         false_hits = sum(

@@ -205,8 +205,8 @@ def sampled_path_combinations(
         neighbours = neighbour_cache.get(pivot)
         if neighbours is None:
             # Paths sharing a link with the pivot, restricted to usable
-            # paths: one boolean slice of the incidence matrix.
-            covering_mask = incidence[:, incidence[pivot]].any(axis=1)
+            # paths; flatnonzero lists them in ascending order.
+            covering_mask = incidence.sharing_mask(pivot)
             covering_mask &= usable_mask
             covering_mask[pivot] = False
             neighbours = np.flatnonzero(covering_mask).tolist()

@@ -82,10 +82,20 @@ class IndependenceEstimator(ProbabilityEstimator):
         active = sorted(context.active)
         path_sets = context.path_sets
         frequencies = context.frequency.query_many(path_sets)
-        incidence = context.network.incidence[:, active]
+        network = context.network
+        column_of = np.full(network.num_links, -1, dtype=np.intp)
+        column_of[active] = np.arange(len(active))
+        # Every (path set, traversed link) pair off the CSR in one gather,
+        # scattered into boolean rows over the active columns.
+        members = [path for path_set in path_sets for path in path_set]
+        owners = np.repeat(
+            np.arange(len(path_sets)), [len(path_set) for path_set in path_sets]
+        )
+        pair_rows = np.repeat(owners, network.path_lengths()[members])
+        pair_columns = column_of[network.incidence.links_of(members)]
+        on_active = pair_columns >= 0
         coverage = np.zeros((len(path_sets), len(active)), dtype=bool)
-        for i, path_set in enumerate(path_sets):
-            coverage[i] = incidence[list(path_set)].any(axis=0)
+        coverage[pair_rows[on_active], pair_columns[on_active]] = True
         usable = (frequencies > self.config.min_frequency) & coverage.any(axis=1)
         if not usable.any():
             raise EstimationError(

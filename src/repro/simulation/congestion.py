@@ -177,7 +177,10 @@ class CongestionModel(GroundTruth):
         if not self.drivers:
             return np.zeros((num_intervals, self.num_links), dtype=bool)
         fires = rng.random((num_intervals, len(self.drivers))) < (1.0 - self._survival)
-        return fires @ self._incidence.astype(np.uint8) > 0
+        # Count firing drivers per link in float64: counts stay exact
+        # integers far beyond any driver count, so the sum cannot wrap
+        # (a uint8 accumulator did at 256), and the product runs in BLAS.
+        return fires.astype(float) @ self._incidence.astype(float) > 0
 
     def correlated_groups(self) -> List[FrozenSet[int]]:
         """Link groups congested together by a shared driver (size >= 2)."""

@@ -272,7 +272,7 @@ def _build_gravity(
         ],
         dtype=float,
     )
-    load = network.incidence.astype(float).T @ demands
+    load = network.incidence.dense(float).T @ demands
     count = target_count(network, params["congestable_fraction"])
     # Random permutation breaks load ties so different seeds can pick
     # different links among equally-loaded candidates.

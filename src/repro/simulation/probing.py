@@ -67,11 +67,8 @@ def oracle_path_status(network: Network, link_states: np.ndarray) -> Observation
     the full dense (T, paths) matrix in memory.
     """
     link_states = np.asarray(link_states, dtype=bool)
-    # int64 accumulator: a bool @ uint8 matmul stays uint8 and would wrap
-    # the per-path congested-link count at 256 on very long paths.
-    incidence_t = network.incidence.T.astype(np.int64)
     blocks = (
-        link_states[start : start + EMIT_CHUNK_INTERVALS] @ incidence_t > 0
+        network.incidence.path_status(link_states[start : start + EMIT_CHUNK_INTERVALS])
         for start in range(0, link_states.shape[0], EMIT_CHUNK_INTERVALS)
     )
     return _packed_observation(blocks, network.num_paths)
@@ -158,7 +155,10 @@ class ProbeSession:
         self.prober = prober
         self.network = network
         self.rng = rng
-        self._incidence_t = network.incidence.T.astype(float)
+        # A local dense float operand: the transpose of a C-ordered
+        # (paths, links) array. The BLAS product's summation order follows
+        # this layout, so it is part of what fixes the observations.
+        self._incidence_t = network.incidence.dense(float).T
         lengths = network.path_lengths()
         self._thresholds = np.array(
             [prober.loss_model.path_good_threshold(int(d)) for d in lengths]
@@ -173,7 +173,7 @@ class ProbeSession:
             )
         loss = self.prober.loss_model.assign(states, self.rng)
         # Per-path transmission rate: product of (1 - loss) over traversed
-        # links, computed in log space against the incidence matrix.
+        # links, computed in log space against the dense incidence operand.
         log_forward = np.log1p(-np.clip(loss, 0.0, 1.0 - 1e-12))
         rates = np.exp(log_forward @ self._incidence_t)
         delivered = self.rng.binomial(self.prober.num_packets, rates)
@@ -233,12 +233,6 @@ class StreamingProber:
             if self.prober is not None
             else None
         )
-        # int64 accumulator for the oracle branch only (see
-        # oracle_path_status for the overflow rationale); the packet-level
-        # branch never touches it.
-        incidence_t = (
-            self.network.incidence.T.astype(np.int64) if session is None else None
-        )
         states_stream = self.ground_truth.sample_stream(self.chunk_intervals, state_rng)
         produced = 0
         while num_intervals is None or produced < num_intervals:
@@ -249,4 +243,4 @@ class StreamingProber:
             if session is not None:
                 yield session.observe_chunk(states)
             else:
-                yield states @ incidence_t > 0
+                yield self.network.incidence.path_status(states)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import TopologyError
 from repro.topology.graph import Link, Network, Path
@@ -84,11 +84,6 @@ class AsLevelBuilder:
     include_source_as:
         Keep links belonging to ``source_asn`` when true (default), so tests
         can exercise full paths; experiment topologies set this to False.
-    sparse_paths:
-        Store accepted link sequences in a CSR
-        :class:`~repro.topology.routing.SparseRouteTable` instead of a list
-        of Python tuples — the memory-bounded path for internet-scale
-        sweeps. The built :class:`Network` is identical either way.
     copy_mapping:
         Defensive-copy ``asn_of_router`` (default, the historical
         behaviour). Pass ``False`` with a shared or virtual mapping (e.g.
@@ -100,7 +95,6 @@ class AsLevelBuilder:
         asn_of_router: Mapping[int, int],
         source_asn: Optional[int] = None,
         include_source_as: bool = True,
-        sparse_paths: bool = False,
         copy_mapping: bool = True,
     ) -> None:
         self._asn_of = dict(asn_of_router) if copy_mapping else asn_of_router
@@ -108,9 +102,9 @@ class AsLevelBuilder:
         self._include_source_as = include_source_as
         self._link_index: Dict[_SegmentKey, int] = {}
         self._links: List[Link] = []
-        self._paths: Union[List[Tuple[int, ...]], SparseRouteTable] = (
-            SparseRouteTable() if sparse_paths else []
-        )
+        # Accepted link sequences, in a CSR table rather than per-route
+        # Python tuples: memory-bounded at internet scale.
+        self._paths = SparseRouteTable()
         self._edge_ids: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
@@ -206,10 +200,7 @@ class AsLevelBuilder:
             link_sequence.append(index)
         if not link_sequence or len(set(link_sequence)) != len(link_sequence):
             return False
-        if isinstance(self._paths, SparseRouteTable):
-            self._paths.append(link_sequence)
-        else:
-            self._paths.append(tuple(link_sequence))
+        self._paths.append(link_sequence)
         return True
 
     def build(self, name: str = "as-level") -> Network:
@@ -217,7 +208,7 @@ class AsLevelBuilder:
         if not len(self._paths):
             raise TopologyError("AsLevelBuilder: no valid routes were added")
         paths = [
-            Path(index=i, links=tuple(int(link) for link in links))
+            Path(index=i, links=tuple(links.tolist()))
             for i, links in enumerate(self._paths)
         ]
         return Network(self._links, paths, name=name)

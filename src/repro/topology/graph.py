@@ -17,14 +17,20 @@ It also implements the coverage functions of Section 5.2:
 * ``Links(P)`` — the set of links traversed by at least one path of ``P``
   (:meth:`Network.links_covered`).
 
-The path-link *incidence matrix* (paths x links, boolean) backs both
-functions with vectorised numpy operations; the same matrix is the "routing
-matrix" every tomography algorithm consumes.
+Both functions, and every other reader of the routing structure, work on
+one compressed sparse row (CSR) *path-link incidence*
+(:class:`PathIncidence`): per path, the links it traverses; per link, the
+paths traversing it. A path crosses a handful of links, so the structure
+costs memory and time in proportion to the (path, link) pairs rather than
+to paths x links. It is the sparse form of the "routing matrix" every
+tomography algorithm consumes; callers that need a dense operand (a BLAS
+product, a rank) build one locally with :meth:`PathIncidence.dense`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,6 +94,107 @@ class Path:
         return link_index in self.links
 
 
+def _gather(indptr: np.ndarray, items: np.ndarray, rows) -> np.ndarray:
+    """Concatenate the CSR rows ``rows`` of ``(indptr, items)``, in order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    positions = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+    return items[positions]
+
+
+class PathIncidence:
+    """The path-link incidence in compressed sparse row (CSR) form.
+
+    Path ``p`` traverses the links ``indices[indptr[p]:indptr[p + 1]]``,
+    in traversal order. The per-link index is the transpose: link ``e`` is
+    traversed by the paths ``link_paths[link_indptr[e]:link_indptr[e + 1]]``,
+    in ascending path order. Both are built once from ``Path.links``.
+
+    Parameters
+    ----------
+    paths:
+        The monitored paths, in index order.
+    num_links:
+        Number of links (columns).
+    """
+
+    def __init__(self, paths: Sequence[Path], num_links: int) -> None:
+        lengths = np.fromiter(
+            (len(path.links) for path in paths), dtype=np.int64, count=len(paths)
+        )
+        self.shape = (len(paths), num_links)
+        self.indptr = np.zeros(len(paths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=self.indptr[1:])
+        self.indices = np.fromiter(
+            chain.from_iterable(path.links for path in paths),
+            dtype=np.intp,
+            count=int(self.indptr[-1]),
+        )
+        self.link_indptr = np.zeros(num_links + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(self.indices, minlength=num_links), out=self.link_indptr[1:]
+        )
+        # A stable sort by link keeps each link's paths in ascending order.
+        owners = np.repeat(np.arange(len(paths), dtype=np.intp), lengths)
+        self.link_paths = owners[np.argsort(self.indices, kind="stable")]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the four index arrays."""
+        return int(
+            self.indptr.nbytes
+            + self.indices.nbytes
+            + self.link_indptr.nbytes
+            + self.link_paths.nbytes
+        )
+
+    def links_of(self, paths) -> np.ndarray:
+        """Links traversed by each of ``paths``, concatenated (repeats kept)."""
+        return _gather(self.indptr, self.indices, paths)
+
+    def paths_of(self, links) -> np.ndarray:
+        """Paths traversing each of ``links``, concatenated (repeats kept)."""
+        return _gather(self.link_indptr, self.link_paths, links)
+
+    def sharing_mask(self, path: int) -> np.ndarray:
+        """Boolean mask over the paths sharing a link with ``path``.
+
+        ``path`` itself is included. Scattered from the per-link index,
+        so ``np.flatnonzero`` of it lists the paths in ascending order.
+        """
+        mask = np.zeros(self.shape[0], dtype=bool)
+        links = self.indices[self.indptr[path] : self.indptr[path + 1]]
+        mask[self.paths_of(links)] = True
+        return mask
+
+    def path_status(self, link_states: np.ndarray) -> np.ndarray:
+        """Boolean (T, paths): whether each path traverses a true link.
+
+        ``link_states`` is a boolean (T, links) matrix. This is
+        Separability (Assumption 1): a path is congested in an interval
+        iff it traverses a congested link. One gather and one exact
+        OR-reduction per path row; no counts, so nothing can overflow.
+        """
+        return np.logical_or.reduceat(
+            link_states[:, self.indices], self.indptr[:-1], axis=1
+        )
+
+    def dense(self, dtype=bool) -> np.ndarray:
+        """The C-ordered (paths, links) matrix as a new array of ``dtype``.
+
+        For local dense operands only (BLAS products, rank); nothing
+        keeps the result.
+        """
+        matrix = np.zeros(self.shape, dtype=dtype)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        matrix[rows, self.indices] = 1
+        return matrix
+
+
 class Network:
     """An observed network: links, monitored paths, and correlation sets.
 
@@ -117,11 +224,13 @@ class Network:
         self.links: List[Link] = list(links)
         self.paths: List[Path] = list(paths)
         self._validate()
-        self._incidence = self._build_incidence()
+        self._incidence = PathIncidence(self.paths, self.num_links)
         self._correlation_sets = self._build_correlation_sets()
+        bounds = self._incidence.link_indptr.tolist()
+        link_paths = self._incidence.link_paths
         self._paths_by_link: List[FrozenSet[int]] = [
-            frozenset(np.flatnonzero(self._incidence[:, e]).tolist())
-            for e in range(self.num_links)
+            frozenset(link_paths[start:stop].tolist())
+            for start, stop in zip(bounds[:-1], bounds[1:])
         ]
         self._path_link_masks: Optional[List[int]] = None
 
@@ -147,12 +256,6 @@ class Network:
                         f"path {path.index} references unknown link {link_index}"
                     )
 
-    def _build_incidence(self) -> np.ndarray:
-        incidence = np.zeros((len(self.paths), len(self.links)), dtype=bool)
-        for path in self.paths:
-            incidence[path.index, list(path.links)] = True
-        return incidence
-
     def _build_correlation_sets(self) -> List[FrozenSet[int]]:
         by_asn: Dict[int, List[int]] = {}
         for link in self.links:
@@ -173,11 +276,13 @@ class Network:
         return len(self.paths)
 
     @property
-    def incidence(self) -> np.ndarray:
-        """Boolean path-link incidence matrix of shape (num_paths, num_links).
+    def incidence(self) -> PathIncidence:
+        """The CSR path-link incidence of shape (num_paths, num_links).
 
-        ``incidence[p, e]`` is true iff path ``p`` traverses link ``e``.
-        The returned array is the internal one; treat it as read-only.
+        Path ``p`` traverses link ``e`` iff ``e`` is in
+        ``incidence.links_of([p])``; the per-link index answers the
+        transpose. No dense paths x links matrix is stored. The returned
+        object is the internal one; treat it as read-only.
         """
         return self._incidence
 
@@ -196,7 +301,7 @@ class Network:
 
     def path_lengths(self) -> np.ndarray:
         """Return the number of links ``d`` of each path, shape (num_paths,)."""
-        return self._incidence.sum(axis=1)
+        return np.diff(self._incidence.indptr)
 
     # ------------------------------------------------------------------
     # Coverage functions of Section 5.2
@@ -210,11 +315,8 @@ class Network:
 
     def links_covered(self, path_set: Iterable[int]) -> FrozenSet[int]:
         """``Links(P)``: links traversed by at least one path of ``path_set``."""
-        indices = list(path_set)
-        if not indices:
-            return frozenset()
-        mask = self._incidence[indices].any(axis=0)
-        return frozenset(np.flatnonzero(mask).tolist())
+        links = self._incidence.links_of(list(path_set))
+        return frozenset(np.unique(links).tolist())
 
     def path_link_masks(self) -> List[int]:
         """Per-path link coverage as integer bitmasks (bit ``e`` = link ``e``).
@@ -236,11 +338,10 @@ class Network:
 
     def paths_through_all(self, link_set: Iterable[int]) -> FrozenSet[int]:
         """Paths traversing *every* link of ``link_set`` (used by Condition 1)."""
-        indices = list(link_set)
-        if not indices:
+        covers = [self._paths_by_link[link_index] for link_index in link_set]
+        if not covers:
             return frozenset(range(self.num_paths))
-        mask = self._incidence[:, indices].all(axis=1)
-        return frozenset(np.flatnonzero(mask).tolist())
+        return covers[0].intersection(*covers[1:])
 
     # ------------------------------------------------------------------
     # Correlation structure
@@ -278,7 +379,7 @@ class Network:
     # ------------------------------------------------------------------
     def link_degrees(self) -> np.ndarray:
         """Number of monitored paths traversing each link, shape (num_links,)."""
-        return self._incidence.sum(axis=0)
+        return np.diff(self._incidence.link_indptr)
 
     def edge_links(self) -> List[int]:
         """Links at the destination edge of the network (last hops).
@@ -301,7 +402,7 @@ class Network:
         return [link.index for link in self.links if link.index not in edge]
 
     def routing_rank(self) -> int:
-        """Rank of the real-valued incidence matrix.
+        """Rank of the real-valued incidence matrix (densified locally).
 
         Sparse topologies produce low-rank systems (Section 3.2: "the sparser
         the topology, the lower the rank of the resulting system of
@@ -309,7 +410,7 @@ class Network:
         """
         if self.num_paths == 0 or self.num_links == 0:
             return 0
-        return int(np.linalg.matrix_rank(self._incidence.astype(float)))
+        return int(np.linalg.matrix_rank(self._incidence.dense(float)))
 
     def describe(self) -> Mapping[str, float]:
         """Summary statistics used by experiment reports."""

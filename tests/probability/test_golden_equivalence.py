@@ -44,6 +44,7 @@ from repro.simulation.experiment import run_experiment
 from repro.simulation.probing import PathProber
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
 from repro.util.subsets import bounded_subsets
+from tests.dense_incidence import dense_incidence
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +91,7 @@ def legacy_independence_fit(config, network, observations, weighted=False):
         )
     )
     frequencies = frequency.query_many(path_sets)
-    incidence = network.incidence[:, active]
+    incidence = dense_incidence(network)[:, active]
     coverage = np.zeros((len(path_sets), len(active)), dtype=bool)
     for i, path_set in enumerate(path_sets):
         coverage[i] = incidence[list(path_set)].any(axis=0)

@@ -98,6 +98,17 @@ def test_sample_correlation_is_perfect_for_shared_driver():
     assert (states[:, 0] == states[:, 1]).all()
 
 
+def test_sample_does_not_wrap_at_256_firing_drivers():
+    # Regression: a uint8 firing-driver count wrapped to 0 at 256 drivers,
+    # so a link with marginal 1.0 sampled as never congested.
+    drivers = [Driver(1.0, frozenset({0})) for _ in range(256)]
+    model = CongestionModel(2, drivers + [Driver(0.5, frozenset({1}))])
+    assert model.marginal(0) == 1.0
+    states = model.sample(50, random_state=7)
+    assert states[:, 0].all()
+    assert states[:, 1].any() and not states[:, 1].all()
+
+
 def test_driver_unknown_link_rejected():
     with pytest.raises(ScenarioError):
         CongestionModel(1, [Driver(0.3, frozenset({5}))])

@@ -4,7 +4,8 @@ The ledger (``perfledger/ledger.py``) wraps program-internal calls where
 their callers look them up, e.g. ``null_space_update`` in
 ``repro.probability.correlation_complete``. A refactor that moves such a
 call site makes the traced run fail or report zero calls; these runs catch
-it in the test suite, not only when the benchmark runs.
+it in the test suite, not only when the benchmark runs. Every workload
+runs once, and each asserts the wrappers its hot path must go through.
 """
 
 from __future__ import annotations
@@ -18,16 +19,28 @@ import pytest
 
 LEDGER = Path(__file__).resolve().parents[1] / "perfledger" / "ledger.py"
 
+#: Per workload: run seconds and the wrapped calls that must fire.
+SMOKE_RUNS = {
+    "fig4-grid": (2, ("linalg.null_space_update",)),
+    "aslevel-10k": (2, ("linalg.null_space_update",)),
+    "mitigation-loop": (
+        4,
+        ("mitigation.score", "probability.sampled_path_combinations"),
+    ),
+    "stream-monitor": (4, ("probability.sampled_path_combinations",)),
+}
 
-@pytest.mark.parametrize("workload", ["fig4-grid", "aslevel-10k"])
+
+@pytest.mark.parametrize("workload", sorted(SMOKE_RUNS))
 def test_traced_smoke_run(workload):
+    seconds, wrapped = SMOKE_RUNS[workload]
     completed = subprocess.run(
         [
             sys.executable,
             str(LEDGER),
             f"--workload={workload}",
             "--seed=1",
-            "--seconds=2",
+            f"--seconds={seconds}",
             "--trace=1",
             "--smoke",
         ],
@@ -39,5 +52,5 @@ def test_traced_smoke_run(workload):
     result = json.loads(completed.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, completed.stderr
     assert result["attempted"] > 0
-    calls = result["metrics"]["linalg.null_space_update.calls_per_op"]["value"]
-    assert calls > 0
+    for name in wrapped:
+        assert result["metrics"][f"{name}.calls_per_op"]["value"] > 0, name

@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import TopologyError
 from repro.topology.graph import Link, Network, Path
+from tests.dense_incidence import dense_incidence
 
 
 def test_fig1_incidence(fig1_case1):
@@ -17,7 +18,14 @@ def test_fig1_incidence(fig1_case1):
             [False, False, True, True],  # p3 = e4 e3
         ]
     )
-    assert (fig1_case1.incidence == expected).all()
+    assert (dense_incidence(fig1_case1) == expected).all()
+    incidence = fig1_case1.incidence
+    assert incidence.shape == expected.shape
+    assert (incidence.dense() == expected).all()
+    assert incidence.indptr.tolist() == [0, 2, 4, 6]
+    assert incidence.indices.tolist() == [0, 1, 0, 2, 3, 2]
+    assert incidence.link_indptr.tolist() == [0, 2, 3, 5, 6]
+    assert incidence.link_paths.tolist() == [0, 1, 0, 1, 2, 2]
 
 
 def test_fig1_correlation_sets_case1(fig1_case1):
