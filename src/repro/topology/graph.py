@@ -156,10 +156,6 @@ class PathIncidence:
         """Links traversed by each of ``paths``, concatenated (repeats kept)."""
         return _gather(self.indptr, self.indices, paths)
 
-    def paths_of(self, links) -> np.ndarray:
-        """Paths traversing each of ``links``, concatenated (repeats kept)."""
-        return _gather(self.link_indptr, self.link_paths, links)
-
     def sharing_mask(self, path: int) -> np.ndarray:
         """Boolean mask over the paths sharing a link with ``path``.
 
@@ -167,8 +163,11 @@ class PathIncidence:
         so ``np.flatnonzero`` of it lists the paths in ascending order.
         """
         mask = np.zeros(self.shape[0], dtype=bool)
-        links = self.indices[self.indptr[path] : self.indptr[path + 1]]
-        mask[self.paths_of(links)] = True
+        bounds = self.link_indptr
+        # A path crosses a handful of links: one slice per link is cheaper
+        # than a vectorised gather at this size.
+        for link in self.indices[self.indptr[path] : self.indptr[path + 1]].tolist():
+            mask[self.link_paths[bounds[link] : bounds[link + 1]]] = True
         return mask
 
     def path_status(self, link_states: np.ndarray) -> np.ndarray:
@@ -315,8 +314,9 @@ class Network:
 
     def links_covered(self, path_set: Iterable[int]) -> FrozenSet[int]:
         """``Links(P)``: links traversed by at least one path of ``path_set``."""
-        links = self._incidence.links_of(list(path_set))
-        return frozenset(np.unique(links).tolist())
+        mask = np.zeros(self.num_links, dtype=bool)
+        mask[self._incidence.links_of(list(path_set))] = True
+        return frozenset(np.flatnonzero(mask).tolist())
 
     def path_link_masks(self) -> List[int]:
         """Per-path link coverage as integer bitmasks (bit ``e`` = link ``e``).

@@ -86,8 +86,10 @@ def check_against_dense(network, link_set, path_set, link_states):
 
     # The per-link index lists each link's paths in ascending order, and
     # sampler neighbourhoods equal the dense scan.
+    bounds = incidence.link_indptr
     for e in range(network.num_links):
-        assert incidence.paths_of([e]).tolist() == np.flatnonzero(dense[:, e]).tolist()
+        through = incidence.link_paths[bounds[e] : bounds[e + 1]]
+        assert through.tolist() == np.flatnonzero(dense[:, e]).tolist()
     for p in range(network.num_paths):
         expected = np.flatnonzero(dense[:, dense[p]].any(axis=1))
         neighbours = np.flatnonzero(incidence.sharing_mask(p))
