@@ -177,9 +177,9 @@ class CongestionModel(GroundTruth):
         if not self.drivers:
             return np.zeros((num_intervals, self.num_links), dtype=bool)
         fires = rng.random((num_intervals, len(self.drivers))) < (1.0 - self._survival)
-        # Count firing drivers per link in float64: counts stay exact
+        # Count firing drivers per link in float64: the counts stay exact
         # integers far beyond any driver count, so the sum cannot wrap
-        # (a uint8 accumulator did at 256), and the product runs in BLAS.
+        # (a uint8 count would at 256), and the product runs in BLAS.
         return fires.astype(float) @ self._incidence.astype(float) > 0
 
     def correlated_groups(self) -> List[FrozenSet[int]]:

@@ -94,18 +94,6 @@ class Path:
         return link_index in self.links
 
 
-def _gather(indptr: np.ndarray, items: np.ndarray, rows) -> np.ndarray:
-    """Concatenate the CSR rows ``rows`` of ``(indptr, items)``, in order."""
-    rows = np.asarray(rows, dtype=np.intp)
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    ends = np.cumsum(lengths)
-    positions = np.arange(ends[-1] if ends.size else 0) + np.repeat(
-        starts - (ends - lengths), lengths
-    )
-    return items[positions]
-
-
 class PathIncidence:
     """The path-link incidence in compressed sparse row (CSR) form.
 
@@ -154,7 +142,14 @@ class PathIncidence:
 
     def links_of(self, paths) -> np.ndarray:
         """Links traversed by each of ``paths``, concatenated (repeats kept)."""
-        return _gather(self.indptr, self.indices, paths)
+        rows = np.asarray(paths, dtype=np.intp)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        ends = np.cumsum(lengths)
+        positions = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+            starts - (ends - lengths), lengths
+        )
+        return self.indices[positions]
 
     def sharing_mask(self, path: int) -> np.ndarray:
         """Boolean mask over the paths sharing a link with ``path``.
