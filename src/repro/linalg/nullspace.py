@@ -22,11 +22,20 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+def rank_cutoff(largest: float, shape, tol: float = DEFAULT_TOL) -> float:
+    """The singular-value threshold of every rank decision in this package.
+
+    A singular value counts towards the rank of a ``shape`` matrix whose
+    largest singular value is ``largest`` iff it exceeds this cutoff.
+    """
+    return tol * max(shape) * largest
+
+
 def _num_nonzero(singular_values: np.ndarray, shape, tol: float) -> int:
-    """Singular values above ``tol * max(shape)`` relative to the largest."""
+    """Singular values above :func:`rank_cutoff`."""
     if not singular_values.size or singular_values.max() <= 0:
         return 0
-    cutoff = tol * max(shape) * singular_values.max()
+    cutoff = rank_cutoff(singular_values.max(), shape, tol)
     return int((singular_values > cutoff).sum())
 
 

@@ -8,7 +8,8 @@ batched estimation stack feeds vectorized frequency/weight arrays in — the
 system is solved by (min-norm) least squares, and each unknown is classified
 *identifiable* iff its coordinate is constant across the solution affine
 subspace — i.e. iff the corresponding row of the final null-space basis
-vanishes.
+vanishes. That null space splits over the blocks of unknowns that the
+data rows couple, so it is computed block by block.
 """
 
 from __future__ import annotations
@@ -18,9 +19,122 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import EstimationError
-from repro.linalg.nullspace import DEFAULT_TOL
+from repro.linalg.nullspace import DEFAULT_TOL, rank_cutoff
+
+#: Largest null-basis entry magnitude of an identifiable unknown.
+IDENTIFIABLE_TOL = 1e-7
+
+
+def _group_entry_runs(
+    columns: np.ndarray, values: np.ndarray, row_lengths: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(first_of_group, inverse)`` of rows with identical entry runs.
+
+    Rows group together iff they have the same length, columns and value
+    bit patterns (so a ``-0.0`` entry differs from ``0.0``). Groups are
+    numbered in the order of their first row, and ``first_of_group`` lists
+    those first rows ascending.
+    """
+    num_rows = row_lengths.shape[0]
+    width = int(row_lengths.max())
+    row_ids = np.repeat(np.arange(num_rows), row_lengths)
+    run_starts = np.cumsum(row_lengths) - row_lengths
+    slots = np.arange(columns.shape[0]) - run_starts[row_ids]
+    # One sort key per padded entry slot (columns, then value bits) and the
+    # row length last, which lexsort treats as the primary key.
+    keys = np.zeros((2 * width + 1, num_rows), dtype=np.int64)
+    keys[slots, row_ids] = columns
+    keys[width + slots, row_ids] = values.view(np.int64)
+    keys[2 * width] = row_lengths
+    # lexsort is stable, so each run of equal keys starts at its first row.
+    order = np.lexsort(keys)
+    sorted_keys = keys[:, order]
+    starts = np.ones(num_rows, dtype=bool)
+    starts[1:] = (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)
+    first_sorted = order[starts]
+    by_first = np.argsort(first_sorted)
+    group_of_run = np.empty(by_first.shape[0], dtype=np.intp)
+    group_of_run[by_first] = np.arange(by_first.shape[0])
+    inverse = np.empty(num_rows, dtype=np.intp)
+    inverse[order] = group_of_run[np.cumsum(starts) - 1]
+    return first_sorted[by_first], inverse
+
+
+def _block_identifiability(
+    data_rows: np.ndarray, tol: float
+) -> "tuple[int, np.ndarray]":
+    """``(rank, identifiable)`` of ``data_rows``, one block at a time.
+
+    Two columns share a block when some row has nonzeros in both, so after
+    a column permutation the matrix is block-diagonal. Its singular values
+    are then the union of the blocks' singular values, and its null space
+    is the direct sum of the blocks' null spaces plus ``e_j`` for every
+    column no row touches. Each block is factorised on its own (a QR first
+    when it is tall), against the one cutoff of the whole matrix; a
+    column is identifiable iff its entries in its block's null basis all
+    vanish, and an untouched column never is. A one-column block's only
+    singular value is its column's norm, so those skip the factorisation.
+    """
+    num_unknowns = data_rows.shape[1]
+    identifiable = np.zeros(num_unknowns, dtype=bool)
+    rows, cols = np.nonzero(data_rows)
+    if rows.shape[0] == 0:
+        return 0, identifiable
+    # Chain each row's consecutive nonzero columns; blocks are the
+    # connected components of that graph.
+    chained = rows[1:] == rows[:-1]
+    links = coo_matrix(
+        (np.ones(int(chained.sum())), (cols[:-1][chained], cols[1:][chained])),
+        shape=(num_unknowns, num_unknowns),
+    )
+    _, labels = connected_components(links, directed=False)
+    touched = np.unique(cols)
+    block_width = np.bincount(labels[touched], minlength=num_unknowns)
+    alone = block_width[labels[touched]] == 1
+    single, wide = touched[alone], touched[~alone]
+    single_norms = np.linalg.norm(data_rows[:, single], axis=0)
+    # Every row lies in one block: the block of its first nonzero column.
+    first = np.flatnonzero(np.concatenate(([True], ~chained)))
+    row_labels = labels[cols[first]]
+    in_wide = block_width[row_labels] > 1
+    factors = []
+    for row_ids, col_ids in zip(
+        _split_by_label(rows[first][in_wide], row_labels[in_wide]),
+        _split_by_label(wide, labels[wide]),
+    ):
+        block = data_rows[np.ix_(row_ids, col_ids)]
+        if block.shape[0] > block.shape[1]:
+            block = np.linalg.qr(block, mode="r")
+        _, singular_values, vt = np.linalg.svd(block, full_matrices=True)
+        factors.append((col_ids, singular_values, vt))
+    largest = max(
+        [single_norms.max(initial=0.0)]
+        + [singular_values.max() for _, singular_values, _ in factors]
+    )
+    cutoff = rank_cutoff(largest, data_rows.shape, tol)
+    identifiable[single] = single_norms > cutoff
+    rank = int(identifiable[single].sum())
+    for col_ids, singular_values, vt in factors:
+        block_rank = int((singular_values > cutoff).sum())
+        rank += block_rank
+        null_basis = vt[block_rank:]
+        identifiable[col_ids] = (
+            np.abs(null_basis).max(axis=0, initial=0.0) <= IDENTIFIABLE_TOL
+        )
+    return rank, identifiable
+
+
+def _split_by_label(items: np.ndarray, item_labels: np.ndarray) -> list:
+    """``items`` split into runs of equal label, in ascending label order."""
+    if items.shape[0] == 0:
+        return []
+    order = np.argsort(item_labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(item_labels[order])) + 1
+    return np.split(items[order], bounds)
 
 
 class SystemWorkspace:
@@ -411,6 +525,12 @@ class EquationSystem:
         """Solve by (optionally bounded) least squares and classify
         identifiability.
 
+        Duplicate rows are merged first. The minimiser comes from one thin
+        QR of all weighted unique rows, then NNLS (or lstsq) on its
+        triangle. Rank and identifiability come from the data rows only
+        (prior rows excluded), factorised per block of the unknowns they
+        couple; unknowns no data row touches are never identifiable.
+
         Parameters
         ----------
         upper_bound:
@@ -438,30 +558,15 @@ class EquationSystem:
         rhs = self.rhs
         weights = self.weights
         num_rows = row_lengths.shape[0]
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(row_lengths, out=indptr[1:])
-        # Group identical rows (first-seen order) by their entry runs.
-        groups: dict = {}
-        first_of_group_list = []
-        inverse = np.empty(num_rows, dtype=np.intp)
-        for i in range(num_rows):
-            start, stop = indptr[i], indptr[i + 1]
-            key = (
-                columns[start:stop].tobytes(),
-                entry_values[start:stop].tobytes(),
-            )
-            group = groups.get(key)
-            if group is None:
-                group = len(groups)
-                groups[key] = group
-                first_of_group_list.append(i)
-            inverse[i] = group
-        first_of_group = np.asarray(first_of_group_list, dtype=np.intp)
+        first_of_group, inverse = _group_entry_runs(columns, entry_values, row_lengths)
         num_groups = first_of_group.shape[0]
+        # Densify each group's first row in one scatter.
+        entry_rows = np.repeat(np.arange(num_rows), row_lengths)
+        is_first = np.zeros(num_rows, dtype=bool)
+        is_first[first_of_group] = True
+        kept = is_first[entry_rows]
         unique_rows = np.zeros((num_groups, self.num_unknowns))
-        for group, i in enumerate(first_of_group):
-            start, stop = indptr[i], indptr[i + 1]
-            unique_rows[group, columns[start:stop]] = entry_values[start:stop]
+        unique_rows[inverse[entry_rows[kept]], columns[kept]] = entry_values[kept]
         # Equations from different path sets frequently share a coefficient
         # row; a duplicate group {(r, b_i, w_i)} contributes
         # ``sum w_i^2 (r.x - b_i)^2 = W^2 (r.x - b_bar)^2 + const`` with
@@ -486,6 +591,7 @@ class EquationSystem:
         # (num_equations, n) stack. Minimiser sets are identical.
         q_factor, r_factor = np.linalg.qr(weighted_matrix)
         compressed_rhs = q_factor.T @ weighted_rhs
+        del q_factor, weighted_matrix
         if upper_bound is None:
             values, _, _, _ = np.linalg.lstsq(r_factor, compressed_rhs, rcond=None)
         else:
@@ -497,27 +603,17 @@ class EquationSystem:
         data_rhs = rhs[data_mask]
         if data_rhs.shape[0] == 0:
             raise EstimationError("cannot solve a system with only prior equations")
-        # Rank and null space of the data rows, via SVD of their QR
-        # triangle: A'A = R'R, so singular values and right singular
-        # vectors coincide while the decomposition runs on (n, n).
-        # Duplicate rows don't change the row space, so only one
-        # representative per group enters the factorization.
-        data_groups = np.unique(inverse[data_mask])
-        data_unique = unique_rows[data_groups]
-        data_triangle = np.linalg.qr(data_unique, mode="r")
-        _, singular_values, vt = np.linalg.svd(data_triangle, full_matrices=True)
-        if singular_values.size and singular_values.max() > 0:
-            cutoff = tol * max(data_unique.shape) * singular_values.max()
-            rank = int((singular_values > cutoff).sum())
+        # Rank and identifiability come from the data rows alone, one
+        # representative per duplicate group (duplicates don't change the
+        # row space), factorised block by block over the unknowns they
+        # couple (see _block_identifiability).
+        if data_rhs.shape[0] == num_rows:
+            data_groups = np.arange(num_groups)
+            data_unique = unique_rows
         else:
-            rank = 0
-        basis = vt[rank:].T
-        if basis.shape[1] == 0:
-            identifiable = np.ones(self.num_unknowns, dtype=bool)
-        else:
-            # Unknown i is pinned down iff every null vector has a zero
-            # i-th coordinate.
-            identifiable = np.abs(basis).max(axis=1) <= 1e-7
+            data_groups = np.unique(inverse[data_mask])
+            data_unique = unique_rows[data_groups]
+        rank, identifiable = _block_identifiability(data_unique, tol)
         # One matvec over the unique data rows; every duplicate row's
         # fitted value equals its representative's, so scattering through
         # the group ids gives the per-row residual.

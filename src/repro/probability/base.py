@@ -305,20 +305,24 @@ class ProbabilityEstimator(ABC):
 
         ``workspace`` checks the fit into a trial's
         :class:`~repro.probability.pipeline.SharedFitWorkspace`: the fit
-        reads the workspace's warm frequency cache and equation arena
-        instead of cold-starting both. Injection is fixed at context
-        creation — the estimator itself stays stateless between fits.
+        reads the workspace's warm frequency cache and holds one of its
+        equation arenas for the whole fit, instead of cold-starting both.
+        Injection is fixed at context creation — the estimator itself
+        stays stateless between fits.
         """
-        context = FitContext(
-            network=network,
-            observations=observations,
-            config=self.config,
-            frequency=(
-                workspace.checkout(observations) if workspace is not None else None
-            ),
-            system_workspace=workspace.system if workspace is not None else None,
-        )
-        return self.pipeline().run(context)
+        if workspace is None:
+            context = FitContext(network, observations, self.config)
+            return self.pipeline().run(context)
+        frequency = workspace.checkout(observations)
+        with workspace.system_arena() as arena:
+            context = FitContext(
+                network,
+                observations,
+                self.config,
+                frequency=frequency,
+                system_workspace=arena,
+            )
+            return self.pipeline().run(context)
 
     def pipeline(self) -> EstimationPipeline:
         """This estimator's staged fit path."""

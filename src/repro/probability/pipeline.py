@@ -14,11 +14,11 @@ makes that pipeline explicit:
 * :class:`EstimationPipeline` — runs an estimator's stage list over a
   context, timing every stage into the extended :class:`FitReport`.
 * :class:`SharedFitWorkspace` — trial-scoped state shared by several
-  fits against one observation set: a warm :class:`FrequencyCache` plus a
-  reusable equation-system arena. Sweep drivers fit all three estimators
-  of a (topology, scenario, seed) cell against one warm cache instead of
-  three cold ones, and the streaming engine carries its prefetched window
-  workload through the same mechanism.
+  fits against one observation set: a warm :class:`FrequencyCache` plus
+  reusable equation-system arenas, one per fit in flight. Sweep drivers
+  fit all three estimators of a (topology, scenario, seed) cell against
+  one warm cache instead of three cold ones, and the streaming engine
+  carries its prefetched window workload through the same mechanism.
 
 Estimators declare *stage configurations* (see
 :mod:`repro.probability.registry`); the pipeline itself is estimator
@@ -27,6 +27,8 @@ agnostic.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -34,6 +36,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -294,13 +297,19 @@ class FrequencyCache:
 class SharedFitWorkspace:
     """Trial-scoped state shared by several fits against one observation set.
 
-    Holds the warm :class:`FrequencyCache` and the reusable
-    :class:`~repro.linalg.system.SystemWorkspace` arena that every fit in
-    one sweep cell (topology, scenario, seed) checks out instead of
+    Holds the warm :class:`FrequencyCache` and a pool of reusable
+    :class:`~repro.linalg.system.SystemWorkspace` arenas that the fits in
+    one sweep cell (topology, scenario, seed) check out instead of
     cold-starting. Frequencies are pure functions of (observations, path
     set), so a cache hit returns the exact value a cold fit would compute
     — shared-workspace fits are bit-identical to cold-cache fits, only
     cheaper.
+
+    An arena holds one live equation system at a time, so every fit in
+    flight gets its own: :meth:`system_arena` hands out an idle arena (or
+    a new one when all are busy) and takes it back when the fit ends.
+    Serial fits therefore keep reusing one arena, while concurrent fits
+    never recycle each other's equations.
 
     Parameters
     ----------
@@ -311,8 +320,8 @@ class SharedFitWorkspace:
     max_entries:
         Bound on the shared frequency memo.
     system:
-        An existing equation-system arena to adopt (the streaming engine
-        carries one across windows); a fresh one is built by default.
+        An existing equation-system arena to adopt as the first idle one
+        (the streaming engine carries one across windows).
     """
 
     def __init__(
@@ -323,7 +332,8 @@ class SharedFitWorkspace:
     ) -> None:
         self.observations = observations
         self.frequency = FrequencyCache(observations, max_entries)
-        self.system = system if system is not None else SystemWorkspace()
+        self._idle_arenas: List[SystemWorkspace] = [] if system is None else [system]
+        self._arena_lock = threading.Lock()
 
     def checkout(self, observations: ObservationMatrix) -> FrequencyCache:
         """The shared cache, after verifying the observation set matches."""
@@ -333,6 +343,17 @@ class SharedFitWorkspace:
                 "build one workspace per observation matrix"
             )
         return self.frequency
+
+    @contextmanager
+    def system_arena(self) -> Iterator[SystemWorkspace]:
+        """An equation arena no other fit in flight holds, for one fit."""
+        with self._arena_lock:
+            arena = self._idle_arenas.pop() if self._idle_arenas else SystemWorkspace()
+        try:
+            yield arena
+        finally:
+            with self._arena_lock:
+                self._idle_arenas.append(arena)
 
 
 #: One pipeline stage: mutates the context's product slots in place.

@@ -6,6 +6,12 @@ a frozen copy of the solve the system used when it also had a dense row
 storage (one ``num_unknowns``-wide row per equation, duplicates grouped
 by their raw bytes). Every solution field must match it exactly — same
 floats, not approximately.
+
+The solve now takes rank and identifiability from per-block
+factorisations of the data rows; ``frozen_identifiability`` keeps the
+step it replaced (one QR of all data rows, then a full SVD) as the
+oracle for those two fields, and ``_dict_group_entry_runs`` the Python
+loop that grouped duplicate entry runs.
 """
 
 from __future__ import annotations
@@ -14,11 +20,18 @@ from typing import List, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import lsq_linear, nnls
 
 from repro.exceptions import EstimationError
-from repro.linalg.nullspace import DEFAULT_TOL
-from repro.linalg.system import EquationSystem, Solution, SystemWorkspace
+from repro.linalg.nullspace import DEFAULT_TOL, rank
+from repro.linalg.system import (
+    EquationSystem,
+    Solution,
+    SystemWorkspace,
+    _group_entry_runs,
+)
 
 
 # ----------------------------------------------------------------------
@@ -58,6 +71,30 @@ def _dense_solve_bounded(
         return outcome.x
 
 
+def frozen_identifiability(
+    data_unique: np.ndarray, tol: float = DEFAULT_TOL
+) -> "tuple[int, np.ndarray]":
+    """``(rank, identifiable)`` from one factorisation of all data rows.
+
+    The identifiability step the solve used before it factorised block by
+    block, frozen: a QR of the unique data rows, then a full SVD of the
+    triangle, thresholded once.
+    """
+    data_triangle = np.linalg.qr(data_unique, mode="r")
+    _, singular_values, vt = np.linalg.svd(data_triangle, full_matrices=True)
+    if singular_values.size and singular_values.max() > 0:
+        cutoff = tol * max(data_unique.shape) * singular_values.max()
+        rank = int((singular_values > cutoff).sum())
+    else:
+        rank = 0
+    basis = vt[rank:].T
+    if basis.shape[1] == 0:
+        identifiable = np.ones(data_unique.shape[1], dtype=bool)
+    else:
+        identifiable = np.abs(basis).max(axis=1) <= 1e-7
+    return rank, identifiable
+
+
 def dense_solve(
     matrix: np.ndarray,
     rhs: np.ndarray,
@@ -67,7 +104,6 @@ def dense_solve(
     upper_bound: Optional[float] = None,
 ) -> Solution:
     """The dense-storage ``EquationSystem.solve``, frozen."""
-    num_unknowns = matrix.shape[1]
     first_of_group, inverse = _group_duplicate_rows(matrix)
     unique_rows = matrix[first_of_group]
     if unique_rows.shape[0] < matrix.shape[0]:
@@ -91,18 +127,7 @@ def dense_solve(
     data_rhs = rhs[data_mask]
     data_groups = np.unique(inverse[data_mask])
     data_unique = matrix[first_of_group[data_groups]]
-    data_triangle = np.linalg.qr(data_unique, mode="r")
-    _, singular_values, vt = np.linalg.svd(data_triangle, full_matrices=True)
-    if singular_values.size and singular_values.max() > 0:
-        cutoff = tol * max(data_unique.shape) * singular_values.max()
-        rank = int((singular_values > cutoff).sum())
-    else:
-        rank = 0
-    basis = vt[rank:].T
-    if basis.shape[1] == 0:
-        identifiable = np.ones(num_unknowns, dtype=bool)
-    else:
-        identifiable = np.abs(basis).max(axis=1) <= 1e-7
+    rank, identifiable = frozen_identifiability(data_unique, tol)
     fitted = data_matrix @ values
     residual = float(np.sqrt(np.mean((fitted - data_rhs) ** 2)))
     return Solution(
@@ -257,3 +282,197 @@ def test_storage_nbytes_counts_entries():
     assert system.storage_nbytes == entries * 16 + per_row
     # Far below the dense rows x unknowns matrix the rows would fill.
     assert system.storage_nbytes < 200 * 80 * 8 / 2
+
+
+# ----------------------------------------------------------------------
+# Block identifiability and vectorised grouping, against frozen oracles
+# ----------------------------------------------------------------------
+def _dict_group_entry_runs(columns, values, row_lengths):
+    """The solve's former duplicate grouping: a dict keyed on run bytes."""
+    indptr = np.concatenate(([0], np.cumsum(row_lengths)))
+    groups: dict = {}
+    first_of_group: List[int] = []
+    inverse = np.empty(row_lengths.shape[0], dtype=np.intp)
+    for i in range(row_lengths.shape[0]):
+        start, stop = indptr[i], indptr[i + 1]
+        key = (columns[start:stop].tobytes(), values[start:stop].tobytes())
+        group = groups.get(key)
+        if group is None:
+            group = len(groups)
+            groups[key] = group
+            first_of_group.append(i)
+        inverse[i] = group
+    return np.asarray(first_of_group, dtype=np.intp), inverse
+
+
+#: Entry values: repeated magnitudes make duplicate and dependent rows
+#: likely, and -0.0 is a stored entry that touches no unknown.
+_ENTRY_VALUES = st.sampled_from([1.0, 1.0, 1.0, 0.5, 2.0, -1.5, -0.0])
+
+
+@st.composite
+def _entry_run_rows(draw, num_unknowns, max_rows=14, values=_ENTRY_VALUES):
+    """Rows as sorted entry runs, drawn from a small pool so some repeat.
+
+    Every row draws its columns from one column group, so the touched
+    columns fall into several blocks; a group may be empty, leaving its
+    columns untouched. Two pool rows may share columns with other values.
+    """
+    num_groups = draw(st.integers(1, 4))
+    group_ids = st.integers(0, num_groups)
+    group_of = np.array(
+        draw(st.lists(group_ids, min_size=num_unknowns, max_size=num_unknowns))
+    )
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        members = np.flatnonzero(group_of == draw(st.integers(0, num_groups - 1)))
+        if members.size == 0:
+            continue
+        picked = draw(
+            st.lists(
+                st.sampled_from(list(members)),
+                min_size=1,
+                max_size=members.size,
+                unique=True,
+            )
+        )
+        cols = np.sort(np.array(picked, dtype=np.int64))
+        pool.append((cols, np.array([draw(values) for _ in cols])))
+    if not pool:  # every drawn group was empty: an all -0.0 rank-0 row
+        pool.append((np.array([0], dtype=np.int64), np.array([-0.0])))
+    picks = st.integers(0, len(pool) - 1)
+    return [pool[i] for i in draw(st.lists(picks, min_size=1, max_size=max_rows))]
+
+
+def _runs(rows):
+    """``(columns, values, row_lengths)`` of a list of entry-run rows."""
+    return (
+        np.concatenate([cols for cols, _ in rows]),
+        np.concatenate([vals for _, vals in rows]),
+        np.array([cols.shape[0] for cols, _ in rows], dtype=np.int64),
+    )
+
+
+def _dense(rows, num_unknowns):
+    matrix = np.zeros((len(rows), num_unknowns))
+    for i, (cols, vals) in enumerate(rows):
+        matrix[i, cols] = vals
+    return matrix
+
+
+@st.composite
+def _systems(draw):
+    """``(num_unknowns, rows, rhs, weights, prior_columns, upper_bound)``.
+
+    Systems with several blocks, untouched columns, duplicate rows, -0.0
+    entries, wide blocks and prior rows; one in five has rank 0.
+    """
+    num_unknowns = draw(st.integers(1, 10))
+    rows = draw(_entry_run_rows(num_unknowns))
+    if draw(st.integers(0, 4)) == 0:  # rank 0: every stored entry is -0.0
+        rows = [(cols, np.full(cols.shape[0], -0.0)) for cols, _ in rows]
+    rhs = np.array([draw(st.floats(-3.0, 0.0, allow_subnormal=False)) for _ in rows])
+    weights = np.array([draw(st.sampled_from([0.5, 1.0, 2.0])) for _ in rows])
+    prior_columns = draw(
+        st.lists(st.integers(0, num_unknowns - 1), max_size=3, unique=True)
+    )
+    upper_bound = draw(st.sampled_from([None, 0.0]))
+    return num_unknowns, rows, rhs, weights, sorted(prior_columns), upper_bound
+
+
+def _build(num_unknowns, rows, rhs, weights, prior_columns, permutation=None):
+    """The system through ``add_sparse_batch`` (columns optionally permuted)."""
+    relabel = np.arange(num_unknowns) if permutation is None else permutation
+    columns, values, row_lengths = _runs(rows)
+    system = EquationSystem(num_unknowns)
+    system.add_sparse_batch(relabel[columns], row_lengths, rhs, weights, values)
+    if prior_columns:
+        count = len(prior_columns)
+        system.add_sparse_batch(
+            relabel[np.array(prior_columns)],
+            np.ones(count, dtype=np.int64),
+            np.full(count, -0.1),
+            np.full(count, 0.01),
+            prior=True,
+        )
+    return system
+
+
+@settings(max_examples=200, deadline=None)
+@given(system_spec=_systems())
+def test_block_identifiability_matches_frozen_oracles(system_spec):
+    *spec, upper_bound = system_spec
+    system = _build(*spec)
+    solution = system.solve(upper_bound=upper_bound)
+    expected = dense_solve_of(system, upper_bound=upper_bound)
+    # Values and residual: bit-identical to the frozen dense solve; rank
+    # and identifiability: equal to its frozen one-factorisation step.
+    _assert_solutions_identical(expected, solution)
+    num_unknowns, rows = spec[:2]
+    data = _dense(rows, num_unknowns)
+    data_unique = data[_group_duplicate_rows(data)[0]]
+    # The solve's cutoff is nullspace.rank's: one formula for both.
+    assert solution.rank == rank(data_unique)
+    # A column no data row touches is never identifiable.
+    assert not solution.identifiable[~data.any(axis=0)].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(system_spec=_systems(), data=st.data())
+def test_column_permutation_permutes_identifiability(system_spec, data):
+    *spec, upper_bound = system_spec
+    permutation = np.array(data.draw(st.permutations(range(spec[0]))))
+    base = _build(*spec).solve(upper_bound=upper_bound)
+    permuted = _build(*spec, permutation).solve(upper_bound=upper_bound)
+    assert permuted.rank == base.rank
+    assert np.array_equal(permuted.identifiable[permutation], base.identifiable)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 8).flatmap(
+        lambda n: _entry_run_rows(
+            n, max_rows=20, values=st.sampled_from([1.0, 2.0, 0.0, -0.0])
+        )
+    ),
+    empty_rows=st.lists(st.integers(0, 20), max_size=3),
+)
+def test_vectorised_grouping_matches_dict_grouping(rows, empty_rows):
+    """Same first-seen group order and inverse as the dict on run bytes.
+
+    ``0.0`` and ``-0.0`` entries differ in their bits, so they group apart;
+    empty rows (no entries) group together.
+    """
+    for position in empty_rows:
+        rows.insert(
+            min(position, len(rows)),
+            (np.zeros(0, dtype=np.int64), np.zeros(0)),
+        )
+    columns, values, row_lengths = _runs(rows)
+    expected_first, expected_inverse = _dict_group_entry_runs(
+        columns, values, row_lengths
+    )
+    first, inverse = _group_entry_runs(columns, values, row_lengths)
+    assert np.array_equal(first, expected_first)
+    assert np.array_equal(inverse, expected_inverse)
+
+
+def test_rank_cutoff_spans_all_blocks():
+    """A block far below the largest singular value adds no rank.
+
+    Per block, the small block is well conditioned; against the whole
+    matrix's cutoff (as in the frozen oracle) it is numerically zero.
+    """
+    rows = np.array(
+        [
+            [1e6, 0.0, 0.0, 0.0],
+            [0.0, 1e-6, 1e-6, 0.0],
+            [0.0, 1e-6, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1e-6],
+        ]
+    )
+    system = _fill(EquationSystem(4), rows, -np.arange(1.0, 5.0), np.ones(4))
+    solution = system.solve(upper_bound=0.0)
+    _assert_solutions_identical(dense_solve_of(system, upper_bound=0.0), solution)
+    assert solution.rank == 1
+    assert list(solution.identifiable) == [True, False, False, False]

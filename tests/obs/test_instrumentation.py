@@ -189,12 +189,18 @@ def test_fit_report_counters_survive_concurrent_shared_cache(
     assert warm.report.frequency_cache_misses == 0
 
     reports = {}
+    errors = []
+    together = threading.Barrier(2)
 
     def fit_one(tag):
-        model = CorrelationCompleteEstimator(config).fit(
-            small_brite, experiment.observations, workspace=workspace
-        )
-        reports[tag] = model.report
+        try:
+            together.wait(timeout=60)
+            model = CorrelationCompleteEstimator(config).fit(
+                small_brite, experiment.observations, workspace=workspace
+            )
+            reports[tag] = model.report
+        except Exception as error:  # surfaced below, not lost in the thread
+            errors.append(error)
 
     threads = [
         threading.Thread(target=fit_one, args=(tag,)) for tag in ("a", "b")
@@ -202,7 +208,12 @@ def test_fit_report_counters_survive_concurrent_shared_cache(
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    # Both fits must finish: each holds its own equation arena, so neither
+    # recycles the other's equations mid-fit.
+    assert errors == []
+    assert set(reports) == {"a", "b"}
     # Each concurrent fit sees exactly its own (fully warm) traffic; the
     # old global-snapshot deltas would attribute both fits' lookups to
     # whichever report closed last.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,55 @@ def test_workspace_checkout_rejects_other_observations(experiment):
     other = ObservationMatrix(experiment.observations.matrix)
     with pytest.raises(EstimationError, match="different observation set"):
         workspace.checkout(other)
+
+
+def test_workspace_arena_per_fit_in_flight(experiment):
+    """Overlapping fits hold distinct arenas; serial fits reuse one."""
+    carried = SystemWorkspace()
+    workspace = SharedFitWorkspace(experiment.observations, system=carried)
+    with workspace.system_arena() as first:
+        assert first is carried
+        with workspace.system_arena() as second:
+            assert second is not first
+            # A system growing in one arena survives the other's next system.
+            live = EquationSystem(2, workspace=first)
+            EquationSystem(2, workspace=second)
+            assert len(live) == 0
+    with workspace.system_arena() as one:
+        pass
+    with workspace.system_arena() as next_one:
+        assert next_one is one
+
+
+def test_workspace_arenas_never_shared_under_thread_stress(experiment):
+    """More threads than cores, switching often: no arena is ever lent twice."""
+    workspace = SharedFitWorkspace(experiment.observations)
+    errors = []
+
+    def borrow_repeatedly():
+        try:
+            for _ in range(200):
+                with workspace.system_arena() as arena:
+                    system = EquationSystem(1, workspace=arena)
+                    system.add(np.ones(1), -0.5)
+                    for _ in range(3):
+                        # Raises if another thread began a system here.
+                        assert len(system) == 1
+        except Exception as error:  # surfaced below, not lost in the thread
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=borrow_repeatedly) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 def test_workspace_counters_are_per_fit(small_brite, experiment):
