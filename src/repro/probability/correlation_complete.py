@@ -8,8 +8,9 @@ subset, the probability that all its links are good, by:
 2. computing the null space ``N`` of the associated ``Matrix(P^, E^)``
    (lines 6-7);
 3. **iteratively adding path sets that increase the system rank**: subsets
-   ``E`` are visited in decreasing Hamming weight of their null-space row
-   (``SortByHammingWeight``), candidate path sets are enumerated inside
+   ``E`` whose null-space row is nonzero are visited in index order
+   (:func:`visit_order`, in place of the listing's
+   ``SortByHammingWeight``), candidate path sets are enumerated inside
    ``Paths(E) \\ Paths(complement(E))``, and the first row ``r`` with
    ``||r N|| > 0`` is kept, after which ``N`` is shrunk *incrementally* by
    Algorithm 2 (lines 8-22). The candidates live in a
@@ -71,6 +72,21 @@ _BLOCK = 16
 Candidate = Tuple[FrozenSet[int], Tuple[int, ...]]
 
 
+def visit_order(basis: np.ndarray) -> np.ndarray:
+    """The subset positions Algorithm 1 visits, in the order it visits them.
+
+    A position is visited iff its row of the null-space basis ``N`` has a
+    nonzero norm (rounded to 12 decimals, so rounding noise counts as 0),
+    in index order. Row norms of an orthonormal basis depend only on the
+    span, so every basis of the same null space gives the same order.
+    This replaces the listing's ``SortByHammingWeight``, whose count of
+    nonzero entries depends on the basis (README, "Deviations from the
+    paper").
+    """
+    norms = np.round(np.sqrt(np.einsum("ij,ij->i", basis, basis)), 12)
+    return np.flatnonzero(norms > 0)
+
+
 class _Slate:
     """The candidates of one subset position, in enumeration order.
 
@@ -88,7 +104,7 @@ class _Slate:
 class CandidateFrontier:
     """The candidate path sets of Algorithm 1's rank growth, for one fit.
 
-    Lines 9-20 visit the subsets in ``SortByHammingWeight`` order and keep
+    Lines 9-20 visit the subsets in :func:`visit_order` and keep
     the first candidate path set inside ``Paths(E) \\ Paths(complement(E))``
     whose row ``r`` has a frequency above ``min_frequency`` and
     ``||r N|| > DEFAULT_TOL``. Each subset position gets a *slate* the
@@ -126,16 +142,14 @@ class CandidateFrontier:
     ) -> Optional[Tuple[FrozenSet[int], np.ndarray]]:
         """One pass of lines 9-20: the winning path set and its row, or None.
 
-        ``SortByHammingWeight``: subsets are visited in decreasing count of
-        non-zero entries of their null-space row — if unknown ``i`` has many
-        non-zeros in ``N``, a row touching it is likely to satisfy
-        ``||r N|| > 0``.
+        Subsets are visited in :func:`visit_order`: every position whose
+        null-space row is nonzero, in index order.
         """
-        weights = np.count_nonzero(np.abs(basis) > 1e-12, axis=1)
-        order = np.argsort(-weights, kind="stable")
-        # Subsets of weight 0 are already orthogonal to every null
-        # direction; no row through them can add rank.
-        order = order[weights[order] > 0]
+        order = visit_order(basis)
+        # Positions whose null-space row is 0 are skipped. That is a speed
+        # filter, not an exactness argument: a candidate path set of such a
+        # subset also touches other unknowns and could add rank through
+        # them, so skipping them can leave rank unused.
         for position in order[~self._exhausted[order]].tolist():
             winner = self._scan(self._slate(position), basis)
             if winner is None:

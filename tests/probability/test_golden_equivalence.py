@@ -34,6 +34,7 @@ from repro.probability.correlation_complete import (
     CandidateFrontier,
     CorrelationCompleteEstimator,
     CorrelationCompleteNoRedundancy,
+    visit_order,
 )
 from repro.probability.correlation_heuristic import CorrelationHeuristicEstimator
 from repro.probability.independence import IndependenceEstimator
@@ -295,11 +296,8 @@ class LegacyCorrelationComplete:
         return chosen
 
     def _add_rank_increasing_row(self, index, frequency, basis, seen, chosen):
-        weights = np.count_nonzero(np.abs(basis) > 1e-12, axis=1)
-        order = np.argsort(-weights, kind="stable")
-        for position in order:
-            if weights[position] == 0:
-                break
+        # The estimator's visit order, so frontier and rescan compare alike.
+        for position in visit_order(basis):
             subset = index.subsets[int(position)]
             base = sorted(index.paths_selector(subset))
             if not base:

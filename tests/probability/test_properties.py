@@ -8,16 +8,19 @@ Invariants checked:
 * inclusion–exclusion round-trips between all-good and all-congested set
   probabilities;
 * the Correlation-complete estimator recovers identifiable quantities from
-  analytic (infinite-sample) inputs exactly.
+  analytic (infinite-sample) inputs exactly;
+* Algorithm 1's visit order depends only on the span of the null-space
+  basis, not on which orthonormal basis spans it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.probability.correlation_complete import visit_order
 from repro.simulation.congestion import CongestionModel, Driver
 from repro.simulation.probing import oracle_path_status
 from repro.topology.builders import fig1_topology
@@ -100,3 +103,38 @@ def test_oracle_path_frequencies_match_analytic(model):
         analytic = model.prob_all_good(links)
         empirical = observations.all_good_frequency(path_set)
         assert empirical == pytest.approx(analytic, abs=0.05)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    blocks=st.lists(st.integers(-1, 3), min_size=2, max_size=12),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_visit_order_depends_only_on_the_span(blocks, data, seed):
+    """``visit_order(N) == visit_order(N @ Q)`` for every orthogonal ``Q``.
+
+    ``N`` is block diagonal: rows of block ``b`` carry a random
+    orthonormal basis of some dimension, so rows differ in their count of
+    nonzero entries, which a rotation evens out. Block ``-1`` rows, and
+    those of blocks of dimension 0, are outside the span; the rotated
+    basis holds rounding noise there, and neither basis visits them.
+    """
+    rng = np.random.default_rng(seed)
+    size = len(blocks)
+    columns = []
+    for block in range(4):
+        rows = [i for i, b in enumerate(blocks) if b == block]
+        dimension = data.draw(st.integers(0, len(rows)))
+        column = np.zeros((size, dimension))
+        column[rows] = np.linalg.qr(rng.standard_normal((len(rows), dimension)))[0]
+        columns.append(column)
+    basis = np.hstack(columns)
+    nullity = basis.shape[1]
+    assume(nullity > 0)
+    live = np.flatnonzero(np.abs(basis).sum(axis=1))
+    noisy = basis.copy()
+    noisy[np.setdiff1d(np.arange(size), live)] = 1e-17 * rng.standard_normal(nullity)
+    rotation, _ = np.linalg.qr(rng.standard_normal((nullity, nullity)))
+    assert np.array_equal(visit_order(basis), live)
+    assert np.array_equal(visit_order(noisy @ rotation), live)
