@@ -2,15 +2,18 @@
 
 Algorithm 1 maintains a matrix ``N`` whose columns span the null space of the
 growing system matrix ``R``. Each time a row ``r`` with ``||r N|| > 0`` is
-appended to ``R``, Algorithm 2 shrinks the null space by one dimension:
+appended to ``R``, Algorithm 2 shrinks the null space by one dimension. The
+paper eliminates a pivot column (``N' = (I_n - (N_p r) / (r N_p)) N_rest``);
+we reach the same span with one Householder reflection instead. With
+``v = N^T r`` and ``u = (v + sign(v_0) ||v|| e_1) / ||.||``,
 
-    N' = (I_n - (N_p r) / (r N_p)) N_rest
+    N' = (N - 2 (N u) u^T)[:, 1:]
 
-where ``N_p`` is a pivot column of ``N`` with ``r N_p != 0`` (the paper uses
-the first column; we pivot on the largest ``|r N_j|`` for numerical
-stability — the spanned subspace is identical) and ``N_rest`` the remaining
-columns. Every new column ``n'_k = n_k - N_p (r n_k) / (r N_p)`` satisfies
-``r n'_k = 0`` while remaining in the old null space, so the update is exact.
+The reflection ``H = I_p - 2 u u^T`` is orthogonal and maps ``v`` onto a
+multiple of ``e_1``, so ``r (N H) = (H v)^T`` vanishes outside the first
+column: dropping that column leaves ``p - 1`` orthonormal columns that span
+exactly the part of the old null space orthogonal to ``r``. The update costs
+O(n p), with no pivot and no re-orthonormalisation.
 """
 
 from __future__ import annotations
@@ -87,7 +90,8 @@ def null_space_update(
     Parameters
     ----------
     null_basis:
-        Matrix N of shape (n, p) whose columns span the current null space.
+        Matrix N of shape (n, p) with orthonormal columns spanning the
+        current null space.
     row:
         The newly-added equation row ``r`` (length n). If ``r`` is
         orthogonal to the null space (adds no rank), N is returned
@@ -97,23 +101,18 @@ def null_space_update(
     Returns
     -------
     numpy.ndarray
-        A (n, p-1) matrix whose columns span the null space of the system
-        extended with ``row``. Columns are re-orthonormalised to keep
-        repeated updates numerically stable.
+        A (n, p-1) matrix with orthonormal columns spanning the null space
+        of the system extended with ``row``: ``N`` reflected by the
+        Householder vector that maps ``N^T r`` onto ``e_1``, first column
+        dropped (see the module docstring).
     """
     row = np.asarray(row, dtype=float).reshape(-1)
     if null_basis.shape[1] == 0:
         return null_basis
     projection = row @ null_basis
-    pivot = int(np.argmax(np.abs(projection)))
-    if abs(projection[pivot]) <= tol:
+    if np.abs(projection).max() <= tol:
         return null_basis
-    pivot_column = null_basis[:, pivot : pivot + 1]
-    rest = np.delete(null_basis, pivot, axis=1)
-    if rest.shape[1] == 0:
-        return rest
-    updated = rest - pivot_column @ ((row @ rest)[None, :] / projection[pivot])
-    # Re-orthonormalise: repeated rank-one updates degrade conditioning.
-    q, r_factor = np.linalg.qr(updated)
-    keep = np.abs(np.diag(r_factor)) > tol
-    return q[:, keep]
+    reflector = projection.copy()
+    reflector[0] += np.copysign(np.linalg.norm(projection), projection[0])
+    reflector /= np.linalg.norm(reflector)
+    return null_basis[:, 1:] - np.outer(2.0 * (null_basis @ reflector), reflector[1:])

@@ -104,6 +104,81 @@ def test_update_empty_basis():
     assert updated.shape == (3, 0)
 
 
+def test_update_of_last_direction_leaves_none():
+    basis = null_space(np.array([[1.0, -1.0]]))
+    updated = null_space_update(basis, np.array([1.0, 0.0]))
+    assert updated.shape == (2, 0)
+
+
+def frozen_qr_update(null_basis, row, tol=DEFAULT_TOL):
+    """The pivoted rank-one update plus full QR that Algorithm 2 used to be.
+
+    The test oracle for :func:`null_space_update`: both must span the same
+    null space.
+    """
+    row = np.asarray(row, dtype=float).reshape(-1)
+    if null_basis.shape[1] == 0:
+        return null_basis
+    projection = row @ null_basis
+    pivot = int(np.argmax(np.abs(projection)))
+    if abs(projection[pivot]) <= tol:
+        return null_basis
+    pivot_column = null_basis[:, pivot : pivot + 1]
+    rest = np.delete(null_basis, pivot, axis=1)
+    if rest.shape[1] == 0:
+        return rest
+    updated = rest - pivot_column @ ((row @ rest)[None, :] / projection[pivot])
+    q, r_factor = np.linalg.qr(updated)
+    keep = np.abs(np.diag(r_factor)) > tol
+    return q[:, keep]
+
+
+def _rank_increasing_row(rng, basis):
+    """A 0/1 row with ``||r N|| > DEFAULT_TOL``, else a real one."""
+    size = basis.shape[0]
+    row = (rng.random(size) < 0.3).astype(float)
+    if np.linalg.norm(row @ basis) <= DEFAULT_TOL:
+        row = basis @ rng.standard_normal(basis.shape[1])
+    return row
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(2, 12),
+    rows=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_update_spans_what_the_qr_update_spans(size, rows, seed):
+    """Every step of a chain of rank-increasing updates keeps the projector
+    ``N N^T`` of the frozen QR update, drops exactly one column and makes
+    the new row orthogonal to the basis."""
+    rng = np.random.default_rng(seed)
+    matrix = (rng.random((min(rows, size - 1), size)) < 0.4).astype(float)
+    basis = oracle = null_space(matrix)
+    while basis.shape[1] > 0:
+        row = _rank_increasing_row(rng, basis)
+        updated = null_space_update(basis, row)
+        oracle = frozen_qr_update(oracle, row)
+        assert updated.shape == (size, basis.shape[1] - 1)
+        assert np.allclose(updated @ updated.T, oracle @ oracle.T, atol=1e-10)
+        assert np.allclose(row @ updated, 0.0, atol=1e-10)
+        basis = updated
+
+
+def test_long_chain_stays_orthonormal():
+    """60 updates at n=80 with no re-orthonormalisation: ``N^T N`` stays the
+    identity and the projector stays the QR update's."""
+    rng = np.random.default_rng(7)
+    basis = oracle = null_space(np.zeros((0, 80)))
+    for _ in range(60):
+        row = _rank_increasing_row(rng, basis)
+        basis = null_space_update(basis, row)
+        oracle = frozen_qr_update(oracle, row)
+    assert basis.shape == (80, 20)
+    assert np.allclose(basis.T @ basis, np.eye(20), atol=1e-10)
+    assert np.allclose(basis @ basis.T, oracle @ oracle.T, atol=1e-10)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     matrix=arrays(
