@@ -1,8 +1,9 @@
 """Ablation benchmark: what each solve refinement buys.
 
-DESIGN.md §5 lists the finite-sample refinements applied to the paper's
-Algorithm 1; this benchmark quantifies each by toggling it off on the
-No-Independence scenario (the hardest stationary case) on both topologies.
+The README's "Deviations from the paper" lists the finite-sample
+refinements applied to the paper's Algorithm 1; this benchmark quantifies
+each by toggling it off on the No-Independence scenario (the hardest
+stationary case) on both topologies.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Ablation study of the Correlation-complete solve refinements.
 
-DESIGN.md documents four finite-sample refinements over the paper's
-Algorithm 1 listing: precision weighting, the redundancy pass, the
-bounded (log g <= 0) solve, and the weak within-set independence prior.
-This driver measures each one's contribution by toggling it off and
-re-running the No-Independence scenario on both topologies.
+The README's "Deviations from the paper" lists four finite-sample
+refinements over the paper's Algorithm 1 listing: precision weighting,
+the redundancy pass, the bounded (log g <= 0) solve, and the weak
+within-set independence prior. This driver measures each one's
+contribution by toggling it off and re-running the No-Independence
+scenario on both topologies.
 """
 
 from __future__ import annotations

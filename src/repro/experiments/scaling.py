@@ -1,4 +1,4 @@
-"""Algorithm 1 scaling study (E9 in DESIGN.md).
+"""Algorithm 1 scaling study (README, "Deviations from the paper").
 
 Section 5.1 argues that naive Probability Computation would need
 ``2^|P*|`` equations, which "is practically infeasible for any topology with

@@ -18,20 +18,20 @@ subset, the probability that all its links are good, by:
    after every pick: each subset's slate is enumerated once, and a
    candidate that fails a test is never tested again. This keeps the
    listing's choices exactly. A candidate's usability and frequency do
-   not depend on ``N``. ``N`` stays orthonormal (SVD, then QR in every
-   update) while its span only shrinks, so ``||r N||`` never grows and a
-   failed rank test stays failed. Gains are gather-sums of rows of ``N``
-   over the candidate's unknowns, and frequencies are queried only for
-   candidates whose gain passes;
+   not depend on ``N``. ``N`` stays orthonormal (an SVD, then one
+   Householder downdate per pick) while its span only shrinks, so
+   ``||r N||`` never grows and a failed rank test stays failed. Gains are
+   gather-sums of rows of ``N`` over the candidate's unknowns, and
+   frequencies are queried only for candidates whose gain passes;
 4. solving the final log-domain least-squares system and classifying each
    unknown as identifiable iff the final null space vanishes on its
    coordinate.
 
 Steps 1-3 are the pipeline's ``discover`` stage, the redundancy pass plus
 system construction its ``assemble`` stage. Deviations from the listing
-(documented in DESIGN.md): the enumeration of path subsets on line 11 is
-bounded (size- and count-capped, smallest first) and the unknown ordering
-``E^`` is the configurable index of
+(README, "Deviations from the paper"): the enumeration of path subsets on
+line 11 is bounded (size- and count-capped, smallest first) and the
+unknown ordering ``E^`` is the configurable index of
 :class:`~repro.probability.subsets.SubsetIndex` rather than the full
 exponential family — both are the paper's own "configurable subset of the
 computable probabilities" resource knob (Section 4).
@@ -441,7 +441,7 @@ class CorrelationCompleteEstimator(ProbabilityEstimator):
         (usable, non-duplicate path sets). The rows lie in the span of the
         selected system, leaving identifiability untouched, and are weighted
         by their estimated precision — this is an implementation refinement
-        over the paper's listing, documented in DESIGN.md.
+        over the paper's listing (README, "Deviations from the paper").
         """
         seen = set(selected)
         fresh = [

@@ -40,7 +40,8 @@ class IndependenceEstimator(ProbabilityEstimator):
     Faithful to the published CLINK step 1: the log-domain system is solved
     by *plain* (unweighted) least squares — the precision weighting of
     :func:`repro.probability.base.log_frequency_weight` is a refinement this
-    reproduction applies only to the paper's own algorithm (see DESIGN.md).
+    reproduction applies only to the paper's own algorithm (README,
+    "Deviations from the paper").
     Pass a config with ``weighted=True`` to study the strengthened baseline.
     """
 

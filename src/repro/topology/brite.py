@@ -3,7 +3,7 @@
 The paper evaluates on topologies produced by the BRITE generator [1]: a
 *top-down* hierarchical model with an AS-level graph and per-AS router-level
 graphs. BRITE itself is an external Java tool; we implement the same model
-natively (substitution documented in DESIGN.md):
+natively (README, "Deviations from the paper"):
 
 * the AS-level graph follows Barabasi-Albert preferential attachment (the
   mode BRITE uses for AS topologies);

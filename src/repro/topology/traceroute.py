@@ -8,7 +8,7 @@ which resulted in a 'sparse' view, where few paths intersect one another"
 (Section 3.2).
 
 We cannot obtain that proprietary dataset, so we simulate the *collection
-process* itself (substitution documented in DESIGN.md):
+process* itself (README, "Deviations from the paper"):
 
 * an Internet-like two-level underlay (reusing the BRITE-style generator,
   scaled to many stub ASes so destinations rarely share infrastructure);
