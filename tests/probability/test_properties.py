@@ -117,8 +117,8 @@ def test_visit_order_depends_only_on_the_span(blocks, data, seed):
     ``N`` is block diagonal: rows of block ``b`` carry a random
     orthonormal basis of some dimension, so rows differ in their count of
     nonzero entries, which a rotation evens out. Block ``-1`` rows, and
-    those of blocks of dimension 0, are outside the span; the rotated
-    basis holds rounding noise there, and neither basis visits them.
+    those of blocks of dimension 0, are outside the span: they get noise
+    at rounding level before the rotation, and neither basis visits them.
     """
     rng = np.random.default_rng(seed)
     size = len(blocks)
