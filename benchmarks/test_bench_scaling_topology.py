@@ -18,9 +18,7 @@ from repro.experiments.scaling_topology import run_scaling_topology
 @pytest.mark.benchmark(group="scaling-topology")
 def test_scaling_topology_sparse_vs_dense(benchmark, bench_scale):
     result = benchmark.pedantic(
-        lambda: run_scaling_topology(
-            bench_scale, seed=17, workers=1, executor="thread"
-        ),
+        lambda: run_scaling_topology(bench_scale, seed=17, workers=1),
         rounds=1,
         iterations=1,
     )

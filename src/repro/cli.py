@@ -4,18 +4,16 @@ sweep the dataset/scenario libraries, or run the live monitoring engine.
 Usage::
 
     repro-tomography figure3 [--scale SCALE] [--seed N] [--oracle]
-                             [--workers W] [--executor E]
+                             [--workers W]
     repro-tomography figure4 [--scale SCALE] [--seed N] [--oracle]
-                             [--workers W] [--executor E]
+                             [--workers W]
     repro-tomography table2
     repro-tomography scaling [--scale SCALE] [--seed N] [--workers W]
-                             [--executor E]
     repro-tomography ablation [--scale SCALE] [--seed N] [--workers W]
-                             [--executor E]
     repro-tomography campaign NAME_OR_SPEC.json [--scale SCALE]
                              [--seed N] [--oracle] [--workers W]
-                             [--executor E] [--replicates R]
-                             [--output DIR] [--dataset NAMES]
+                             [--replicates R] [--output DIR]
+                             [--dataset NAMES]
                              [--scenario NAMES] [--estimator NAMES]
                              [--policy NAMES]
     repro-tomography campaign --list
@@ -27,7 +25,6 @@ Usage::
     repro-tomography scenarios list|info NAME
     repro-tomography estimators list|info NAME
     repro-tomography policies list|info NAME
-    repro-tomography kernels list [--bench] | info NAME
     repro-tomography obs summary [--snapshot FILE]
     repro-tomography obs export [--format prom|json] [--snapshot FILE]
     repro-tomography obs spans TRACE.jsonl [--tree] [--validate]
@@ -37,40 +34,36 @@ Usage::
                              [--sample-interval S]
     repro-tomography monitor [--scale SCALE] [--seed N] [--oracle]
                              [--dataset NAME] [--scenario NAME]
-                             [--estimator NAME] [--kernel K]
+                             [--estimator NAME]
                              [--intervals T] [--window W] [--stride S]
                              [--chunk C] [--checkpoint PATH]
     repro-tomography --version
 
-``SCALE`` is one of the registered presets (``tiny``/``small``/``paper``).
-``--workers`` shards a sweep (0 = all local CPUs) with results
-bit-identical to the serial run; ``--executor`` picks how shards run
-(``process``, zero-copy ``thread``, or ``auto`` — thread exactly when the
-active frequency kernel is GIL-free). ``campaign`` runs a named sweep
-(or a JSON sweep spec) with per-shard progress and optional JSON results
-on disk — the ``realworld`` campaign sweeps every registered dataset,
-scenario, and estimator, restrictable with
-``--dataset``/``--scenario``/``--estimator`` (comma-separated names from
-``datasets list`` / ``scenarios list`` / ``estimators list``); the
-``mitigation`` campaign additionally accepts ``--policy`` (names from
-``policies list``). ``mitigate`` runs one closed mitigation loop —
-estimate, act on the fitted model, re-simulate, re-estimate — and can
-persist the plan and scorecard as JSON.
-``kernels`` inspects the frequency-kernel registry (numpy / optional
-compiled numba) and the active selection (``REPRO_KERNEL``). ``obs``
+``SCALE`` is one of the registered presets
+(``tiny``/``small``/``paper``). ``--workers`` shards a sweep across
+worker processes (0 = all local CPUs) with results bit-identical to the
+serial run. ``campaign`` runs a named sweep (or a JSON sweep spec) with
+per-shard progress and optional JSON results on disk — the ``realworld``
+campaign sweeps every registered dataset, scenario, and estimator,
+restrictable with ``--dataset``/``--scenario``/``--estimator``
+(comma-separated names from ``datasets list`` / ``scenarios list`` /
+``estimators list``); the ``mitigation`` campaign additionally accepts
+``--policy`` (names from ``policies list``). ``mitigate`` runs one
+closed mitigation loop — estimate, act on the fitted model, re-simulate,
+re-estimate — and can persist the plan and scorecard as JSON. ``obs``
 inspects the telemetry layer (``REPRO_OBS=off|metrics|trace``): a human
 metrics summary, Prometheus/JSON export, span-trace rendering or
-validation, trace analytics (``critical-path`` decomposes each root
-span and reports shard utilization; ``diff`` aligns two traces by span
-name and names the top self-time regressions), and a live HTTP
-exporter (``serve``: ``/metrics`` Prometheus text, ``/metrics.json``,
+validation, trace analytics (``critical-path`` decomposes each root span
+and reports shard utilization; ``diff`` aligns two traces by span name
+and names the top self-time regressions), and a live HTTP exporter
+(``serve``: ``/metrics`` Prometheus text, ``/metrics.json``,
 ``/healthz``, ``/spans/recent``, with a background RSS/CPU/GC resource
-sampler). ``campaign``/``monitor``/``mitigate`` accept ``--obs MODE``
-to set the telemetry mode per run (overriding ``REPRO_OBS``), and
+sampler). ``campaign``/``monitor``/``mitigate`` accept ``--obs MODE`` to
+set the telemetry mode per run (overriding ``REPRO_OBS``), and
 ``campaign``/``monitor`` accept ``--serve-port`` to expose the same
 endpoints for the duration of the run; campaign runs under
-``REPRO_OBS=trace`` drop a ``telemetry.jsonl`` (and a metrics
-snapshot) next to their ``--output`` results.
+``REPRO_OBS=trace`` drop a ``telemetry.jsonl`` (and a metrics snapshot)
+next to their ``--output`` results.
 """
 
 from __future__ import annotations
@@ -113,10 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"%(prog)s {_package_version()}",
     )
     workers_help = "worker shards for the sweep (0 = all local CPUs)"
-    executor_help = (
-        "shard executor: process pool, zero-copy threads, or auto "
-        "(thread when the active kernel is GIL-free)"
-    )
     obs_help = (
         "telemetry mode for this run (overrides the REPRO_OBS env var)"
     )
@@ -126,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "telemetry to metrics mode when it is off"
     )
     from repro.obs import MODES as OBS_MODES
-    from repro.runner.pool import EXECUTORS
 
     subparsers = parser.add_subparsers(dest="command", required=True)
     for figure in ("figure3", "figure4"):
@@ -139,26 +127,17 @@ def _build_parser() -> argparse.ArgumentParser:
             help="use noise-free path observations",
         )
         sub.add_argument("--workers", type=int, default=1, help=workers_help)
-        sub.add_argument(
-            "--executor", choices=EXECUTORS, default="auto", help=executor_help
-        )
     sub = subparsers.add_parser("table2", help="print the assumption matrix")
     sub = subparsers.add_parser("scaling", help="Algorithm 1 scaling sweep")
     sub.add_argument("--scale", choices=sorted(SCALES), default="small")
     sub.add_argument("--seed", type=int, default=3)
     sub.add_argument("--workers", type=int, default=1, help=workers_help)
-    sub.add_argument(
-        "--executor", choices=EXECUTORS, default="auto", help=executor_help
-    )
     sub = subparsers.add_parser(
         "ablation", help="ablate the Correlation-complete solve refinements"
     )
     sub.add_argument("--scale", choices=sorted(SCALES), default="small")
     sub.add_argument("--seed", type=int, default=5)
     sub.add_argument("--workers", type=int, default=1, help=workers_help)
-    sub.add_argument(
-        "--executor", choices=EXECUTORS, default="auto", help=executor_help
-    )
     sub = subparsers.add_parser(
         "campaign",
         help="run a named sweep "
@@ -185,9 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use noise-free path observations",
     )
     sub.add_argument("--workers", type=int, default=None, help=workers_help)
-    sub.add_argument(
-        "--executor", choices=EXECUTORS, default=None, help=executor_help
-    )
     sub.add_argument(
         "--replicates",
         type=int,
@@ -331,21 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "name", nargs="?", default=None, help="estimator name or alias (info)"
     )
     sub = subparsers.add_parser(
-        "kernels",
-        help="inspect the frequency-kernel registry and active selection",
-    )
-    sub.add_argument(
-        "action",
-        choices=("list", "info"),
-        help="list the registry or describe one kernel",
-    )
-    sub.add_argument("name", nargs="?", default=None, help="kernel name (info)")
-    sub.add_argument(
-        "--bench",
-        action="store_true",
-        help="micro-benchmark each available kernel (list only)",
-    )
-    sub = subparsers.add_parser(
         "obs",
         help="inspect telemetry: metrics summary/export, span traces, "
         "trace analytics, and live HTTP serving",
@@ -451,13 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="registered estimator to refit with (default: Correlation-complete)",
     )
     sub.add_argument(
-        "--kernel",
-        type=str,
-        default=None,
-        help="pin the frequency kernel used by refits "
-        "(see 'kernels list'; default: the active selection)",
-    )
-    sub.add_argument(
         "--intervals",
         type=int,
         default=None,
@@ -512,7 +466,6 @@ def _print_figure3(args: argparse.Namespace) -> None:
         seed=args.seed,
         oracle=args.oracle,
         workers=_workers(args),
-        executor=args.executor,
     )
     print("Figure 3(a) — detection rate")
     print(result.to_table("detection"))
@@ -527,7 +480,6 @@ def _print_figure4(args: argparse.Namespace) -> None:
         seed=args.seed,
         oracle=args.oracle,
         workers=_workers(args),
-        executor=args.executor,
     )
     print("Figure 4(a) — mean absolute error, Brite")
     print(result.to_table("brite"))
@@ -559,7 +511,6 @@ def _print_scaling(args: argparse.Namespace) -> None:
         scale_by_name(args.scale),
         seed=args.seed,
         workers=_workers(args),
-        executor=args.executor,
     )
     print("Algorithm 1 scaling (equations formed vs naive 2^|P*| bound)")
     print(result.to_table())
@@ -593,7 +544,10 @@ def _run_campaign(args: argparse.Namespace) -> None:
     if args.target in CAMPAIGNS:
         spec = CampaignSpec(campaign=args.target)
     elif os.path.exists(args.target):
-        spec = load_campaign_spec(args.target)
+        try:
+            spec = load_campaign_spec(args.target)
+        except ValueError as exc:
+            raise SystemExit(f"invalid campaign spec: {exc}") from None
     else:
         raise SystemExit(
             f"unknown campaign {args.target!r} (known: {sorted(CAMPAIGNS)}) "
@@ -622,8 +576,6 @@ def _run_campaign(args: argparse.Namespace) -> None:
         overrides["estimator"] = args.estimator
     if args.policy is not None:
         overrides["policy"] = args.policy
-    if args.executor is not None:
-        overrides["executor"] = args.executor
     if args.serve_port is not None:
         overrides["serve_port"] = args.serve_port
     try:
@@ -827,63 +779,6 @@ def _print_estimators(args: argparse.Namespace) -> None:
     print(f"  pipeline stages: {' -> '.join(estimator.stage_names())}")
 
 
-def _print_kernels(args: argparse.Namespace) -> None:
-    from repro.model import kernels
-    from repro.model.kernels import numba_kernel
-
-    active = kernels.active_kernel()
-    if args.action == "list":
-        headers = ["Kernel", "Available", "GIL-free", "Active", "Description"]
-        if args.bench:
-            headers.insert(4, "Bench (ms)")
-        rows = []
-        for name in kernels.kernel_names():
-            kernel = kernels.get_kernel(name)
-            available = kernel.is_available()
-            cells = [
-                name,
-                "yes" if available else f"no ({kernel.unavailable_reason()})",
-                "yes" if kernel.releases_gil else "no",
-                "*" if kernel is active else "",
-                kernel.description,
-            ]
-            if args.bench:
-                cells.insert(
-                    4,
-                    f"{kernels.microbenchmark(kernel) * 1e3:.3f}"
-                    if available
-                    else "-",
-                )
-            rows.append(cells)
-        print("Frequency kernels")
-        print(format_table(headers, rows))
-        print(f"requested: {kernels.requested_kernel()} (env {kernels.KERNEL_ENV})")
-        print(
-            "numba: "
-            + (
-                f"version {numba_kernel.NUMBA_VERSION}"
-                if numba_kernel.NUMBA_VERSION
-                else "not installed"
-            )
-        )
-        return
-    if not args.name:
-        raise SystemExit("kernels info: provide a kernel name")
-    try:
-        kernel = kernels.get_kernel(args.name)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    print(f"{kernel.name}: {kernel.description}")
-    print(f"  class: {type(kernel).__module__}.{type(kernel).__qualname__}")
-    print(f"  releases the GIL: {kernel.releases_gil}")
-    print(f"  active: {kernel is active}")
-    if kernel.is_available():
-        print("  available: yes")
-        print(f"  micro-benchmark: {kernels.microbenchmark(kernel) * 1e3:.3f} ms")
-    else:
-        print(f"  available: no ({kernel.unavailable_reason()})")
-
-
 def _load_trace_or_exit(trace: str):
     """Tolerantly load a trace, printing truncation warnings; exits on
     a missing file or interior corruption."""
@@ -1027,7 +922,7 @@ def _run_monitor(args: argparse.Namespace) -> None:
             raise SystemExit(str(exc)) from None
     else:
         network = generate_brite_network(scale.brite, random_state=args.seed)
-    from repro.exceptions import EstimationError, ScenarioError
+    from repro.exceptions import EstimationError, ReproError, ScenarioError
     from repro.probability.registry import make_estimator
 
     try:
@@ -1043,22 +938,21 @@ def _run_monitor(args: argparse.Namespace) -> None:
     except EstimationError as exc:
         raise SystemExit(str(exc)) from None
     prober = None if args.oracle else PathProber(num_packets=scale.num_packets)
-    source = StreamingProber(
-        network,
-        scenario.ground_truth,
-        prober=prober,
-        chunk_intervals=args.chunk,
-    )
     try:
+        source = StreamingProber(
+            network,
+            scenario.ground_truth,
+            prober=prober,
+            chunk_intervals=args.chunk,
+        )
         engine = StreamingEstimator(
             network,
             estimator,
             window=args.window,
             stride=args.stride,
             alert_manager=AlertManager(network, AlertPolicy()),
-            kernel=args.kernel,
         )
-    except ValueError as exc:  # unknown --kernel name
+    except ReproError as exc:  # bad --chunk / --window / --stride
         raise SystemExit(str(exc)) from None
     members = peer_link_members(network)
     print(
@@ -1259,7 +1153,6 @@ def _print_ablation(args: argparse.Namespace) -> None:
         scale_by_name(args.scale),
         seed=args.seed,
         workers=_workers(args),
-        executor=args.executor,
     )
     print("Correlation-complete solve ablation (mean abs link error, "
           "No-Independence scenario)")
@@ -1291,8 +1184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _print_policies(args)
     elif args.command == "mitigate":
         _run_mitigate(args)
-    elif args.command == "kernels":
-        _print_kernels(args)
     elif args.command == "obs":
         return _print_obs(args)
     elif args.command == "monitor":

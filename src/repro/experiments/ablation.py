@@ -143,19 +143,16 @@ def run_ablation(
     seed: int = 5,
     workers: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
-    executor: Optional[str] = "process",
 ) -> AblationResult:
     """Toggle each refinement off on the No-Independence scenario.
 
     ``workers`` shards the variant fits with bit-identical results
-    (``1`` = serial, ``None`` = all local CPUs) across the requested
-    ``executor`` (``"process"`` / ``"thread"`` / ``"auto"``).
+    (``1`` = serial, ``None`` = all local CPUs).
     """
     results = run_trials(
         ablation_trial,
         ablation_specs(scale, seed),
         workers=workers,
         progress=progress,
-        executor=executor,
     )
     return merge_ablation(results)

@@ -213,7 +213,6 @@ def run_figure3(
     oracle: bool = False,
     workers: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
-    executor: Optional[str] = "process",
 ) -> Figure3Result:
     """Regenerate Fig. 3.
 
@@ -233,16 +232,11 @@ def run_figure3(
         any value.
     progress:
         Optional per-shard progress callback.
-    executor:
-        Shard executor — ``"process"`` (default), ``"thread"``
-        (zero-copy, needs a GIL-free kernel to overlap), or ``"auto"``
-        (see :func:`repro.runner.pool.run_trials`).
     """
     results = run_trials(
         figure3_trial,
         figure3_specs(scale, seed, oracle),
         workers=workers,
         progress=progress,
-        executor=executor,
     )
     return merge_figure3(results)

@@ -256,21 +256,17 @@ def run_figure4(
     oracle: bool = False,
     workers: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
-    executor: Optional[str] = "process",
 ) -> Figure4Result:
     """Regenerate all four panels of Fig. 4.
 
     See :func:`repro.experiments.figure3.run_figure3` for the parameters.
     ``workers`` shards the sweep (``1`` = serial in this process, ``None``
-    = all local CPUs) across the requested ``executor``
-    (``"process"`` / ``"thread"`` / ``"auto"`` — see
-    :func:`repro.runner.pool.run_trials`) with bit-identical results.
+    = all local CPUs) with bit-identical results.
     """
     results = run_trials(
         figure4_trial,
         figure4_specs(scale, seed, oracle),
         workers=workers,
         progress=progress,
-        executor=executor,
     )
     return merge_figure4(results)

@@ -319,7 +319,6 @@ def run_mitigation(
     policies: Optional[Sequence[str]] = None,
     workers: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
-    executor: Optional[str] = "auto",
 ) -> MitigationResult:
     """Run the closed-loop mitigation sweep end to end."""
     results = run_trials(
@@ -335,6 +334,5 @@ def run_mitigation(
         ),
         workers=workers,
         progress=progress,
-        executor=executor,
     )
     return merge_mitigation(results)

@@ -229,14 +229,11 @@ def run_realworld(
     estimators: Optional[Sequence[str]] = None,
     workers: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
-    executor: Optional[str] = "process",
 ) -> RealWorldResult:
     """Run the real-topology sweep end to end.
 
     ``workers`` shards the sweep (``1`` = serial in this process,
-    ``None`` = all local CPUs) across the requested ``executor``
-    (``"process"`` / ``"thread"`` / ``"auto"``) with bit-identical
-    results.
+    ``None`` = all local CPUs) with bit-identical results.
     """
     results = run_trials(
         realworld_trial,
@@ -250,6 +247,5 @@ def run_realworld(
         ),
         workers=workers,
         progress=progress,
-        executor=executor,
     )
     return merge_realworld(results)

@@ -158,20 +158,17 @@ def run_algorithm1_scaling(
     subset_sizes: Optional[List[int]] = None,
     workers: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
-    executor: Optional[str] = "process",
 ) -> ScalingResult:
     """Sweep Algorithm 1's requested subset size on a Brite instance.
 
-    ``workers`` shards the sweep points across the requested ``executor``
-    (``"process"`` / ``"thread"`` / ``"auto"``); the sweep's
-    equation-system statistics are bit-identical for any value (the
-    per-point ``seconds`` column reports each worker's own wall clock).
+    ``workers`` shards the sweep points; the sweep's equation-system
+    statistics are bit-identical for any value (the per-point ``seconds``
+    column reports each worker's own wall clock).
     """
     results = run_trials(
         scaling_trial,
         scaling_specs(scale, seed, subset_sizes),
         workers=workers,
         progress=progress,
-        executor=executor,
     )
     return merge_scaling(results)

@@ -282,7 +282,6 @@ def run_scaling_topology(
     sizes: Optional[List[int]] = None,
     workers: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
-    executor: Optional[str] = "process",
 ) -> ScalingTopologyResult:
     """Sweep construction and estimation across sizes."""
     results = run_trials(
@@ -290,6 +289,5 @@ def run_scaling_topology(
         scaling_topology_specs(scale, seed, sizes),
         workers=workers,
         progress=progress,
-        executor=executor,
     )
     return merge_scaling_topology(results)

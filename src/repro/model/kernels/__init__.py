@@ -1,4 +1,4 @@
-"""Pluggable frequency kernels: the packed backend's hot loops, swappable.
+"""The packed backend's frequency kernel, behind a small registry.
 
 Every estimator in this package bottoms out in two word-level loops over
 the bit-packed observation store (:mod:`repro.model.packed`):
@@ -9,217 +9,56 @@ the bit-packed observation store (:mod:`repro.model.packed`):
 * the **row popcount** — per-path congested-interval counts
   (``PackedBackend.congestion_counts``).
 
-This module puts those loops behind a small kernel interface with two
-implementations:
-
-* :class:`~repro.model.kernels.numpy_kernel.NumpyKernel` — the canonical
-  vectorised kernel (chunked gather + ``np.bitwise_or.reduce`` +
-  ``np.bitwise_count``). Always available; the golden-equivalence suite
-  pins its results as the reference bits.
-* :class:`~repro.model.kernels.numba_kernel.NumbaKernel` — optional
-  compiled kernel: ``@njit(nogil=True, cache=True)`` fused word-level
-  loops with no intermediate ``(chunk, widest, words)`` cube. Because it
-  releases the GIL, the campaign runner can shard sweeps across
-  *threads* (zero-copy, no pickling) instead of processes — see
-  ``executor="thread"`` in :mod:`repro.runner.pool`.
-
-Selection is environment-driven (``REPRO_KERNEL=auto|numpy|numba``) with a
-programmatic override (:func:`set_kernel` / :func:`use_kernel`). ``auto``
-(the default) picks the compiled kernel when numba imports and compiles,
-and degrades silently to numpy otherwise; asking for ``numba`` explicitly
-when it cannot run falls back to numpy with a single warning instead of
-failing the run. Both kernels accept strided word matrices (ring-buffer
-window views) and are bit-identical on every input — swapping kernels can
-never change a result, only its wall clock.
+:class:`~repro.model.kernels.numpy_kernel.NumpyKernel` serves both
+(chunked gather + ``np.bitwise_or.reduce`` + ``np.bitwise_count``). The
+:data:`KERNELS` registry and the :func:`use_kernel` scope exist so a
+caller can swap in a wrapper around it — a profiler registers a kernel
+that times and counts the numpy kernel's calls, then scopes it with
+:func:`use_kernel`. A registered kernel must be bit-identical to the
+numpy kernel on every input.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
-
-import numpy as np
+from typing import Dict, Iterator
 
 from repro.model.kernels.base import FrequencyKernel
-from repro.model.kernels.numba_kernel import NumbaKernel
 from repro.model.kernels.numpy_kernel import NumpyKernel
 
-#: Environment variable naming the kernel to use (``auto``/``numpy``/``numba``).
-KERNEL_ENV = "REPRO_KERNEL"
+#: Registered kernels by name.
+KERNELS: Dict[str, FrequencyKernel] = {"numpy": NumpyKernel()}
 
-#: The auto-selection pseudo-name.
-AUTO = "auto"
-
-#: Registered kernels by name, in preference order for ``auto``
-#: (first available wins, so the compiled kernel is preferred).
-KERNELS: Dict[str, FrequencyKernel] = {
-    kernel.name: kernel for kernel in (NumbaKernel(), NumpyKernel())
-}
-
-#: Programmatic override; takes precedence over the environment.
-_override: Optional[str] = None
-
-#: Memo of the last resolution: (requested name, resolved kernel).
-_resolved: Optional[tuple] = None
-
-#: Requested-but-unavailable kernel names already warned about.
-_warned: set = set()
-
-
-def kernel_names() -> List[str]:
-    """Registered kernel names in ``auto``-preference order."""
-    return list(KERNELS)
-
-
-def get_kernel(name: str) -> FrequencyKernel:
-    """The registered kernel called ``name`` (available or not)."""
-    try:
-        return KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {name!r}; expected one of "
-            f"{[AUTO, *KERNELS]}"
-        ) from None
-
-
-def requested_kernel() -> str:
-    """The current selection request: override, else ``$REPRO_KERNEL``, else auto."""
-    if _override is not None:
-        return _override
-    return os.environ.get(KERNEL_ENV, AUTO) or AUTO
-
-
-def _resolve(requested: str) -> FrequencyKernel:
-    """Map a selection request onto an available kernel, warning on fallback."""
-    if requested == AUTO:
-        for kernel in KERNELS.values():
-            if kernel.is_available():
-                return kernel
-        raise RuntimeError("no frequency kernel is available")  # pragma: no cover
-    kernel = get_kernel(requested)
-    if kernel.is_available():
-        return kernel
-    fallback = _resolve(AUTO)
-    if requested not in _warned:
-        _warned.add(requested)
-        warnings.warn(
-            f"frequency kernel {requested!r} is unavailable "
-            f"({kernel.unavailable_reason()}); falling back to "
-            f"{fallback.name!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return fallback
+#: Name of the kernel every packed-backend query dispatches to.
+_selected = "numpy"
 
 
 def active_kernel() -> FrequencyKernel:
-    """The kernel every packed-backend query dispatches to right now.
-
-    Resolution is memoised against the requested name, so the per-query
-    cost is one ``os.environ`` read plus a tuple compare; changing
-    ``$REPRO_KERNEL`` mid-process takes effect on the next query.
-    """
-    global _resolved
-    requested = requested_kernel()
-    if _resolved is None or _resolved[0] != requested:
-        _resolved = (requested, _resolve(requested))
-    return _resolved[1]
-
-
-def set_kernel(name: Optional[str]) -> FrequencyKernel:
-    """Programmatically pin the kernel (``None`` restores env/auto selection).
-
-    Returns the kernel the next query will dispatch to. Unknown names
-    raise; an unavailable-but-known name falls back like the environment
-    path does (with its one-time warning).
-    """
-    global _override, _resolved
-    if name is not None and name != AUTO:
-        get_kernel(name)  # validate eagerly
-    _override = name
-    _resolved = None
-    return active_kernel()
+    """The kernel every packed-backend query dispatches to right now."""
+    return KERNELS[_selected]
 
 
 @contextmanager
-def use_kernel(name: Optional[str]) -> Iterator[FrequencyKernel]:
-    """Scope a kernel selection: restore the previous request on exit.
+def use_kernel(name: str) -> Iterator[FrequencyKernel]:
+    """Scope the selection of the registered kernel ``name``.
 
-    ``None`` is a no-op scope (keeps the current selection), so call sites
-    can thread an optional kernel name straight through.
+    The previous selection is restored on exit.
     """
-    if name is None:
-        yield active_kernel()
-        return
-    previous = _override
+    global _selected
+    if name not in KERNELS:
+        raise ValueError(f"unknown kernel {name!r}; expected one of {list(KERNELS)}")
+    previous = _selected
+    _selected = name
     try:
-        yield set_kernel(name)
+        yield KERNELS[name]
     finally:
-        set_kernel(previous)
-
-
-def reset_kernel_selection() -> None:
-    """Clear override, memoised resolution, and fallback-warning history.
-
-    Test hook: kernels resolve freshly on the next query, and fallback
-    warnings fire again.
-    """
-    global _override, _resolved
-    _override = None
-    _resolved = None
-    _warned.clear()
-
-
-def microbenchmark(
-    kernel: FrequencyKernel,
-    num_paths: int = 256,
-    num_words: int = 32,
-    num_sets: int = 512,
-    widest: int = 8,
-    repeats: int = 3,
-    seed: int = 7,
-) -> float:
-    """Best-of-``repeats`` seconds for one batched union-popcount call.
-
-    A synthetic workload shaped like a figure4-scale frequency batch:
-    ``num_sets`` path sets of up to ``widest`` members over a
-    ``(num_paths, num_words)`` word store. Compilation (for JIT kernels)
-    is paid before timing starts.
-    """
-    from time import perf_counter
-
-    rng = np.random.default_rng(seed)
-    words = rng.integers(0, 2**63, size=(num_paths, num_words), dtype=np.uint64)
-    lengths = rng.integers(1, widest + 1, size=num_sets).astype(np.int64)
-    # Pad with the dummy all-good row index (num_paths), per the contract.
-    indices = np.full((num_sets, widest), num_paths, dtype=np.intp)
-    for i, length in enumerate(lengths):
-        indices[i, :length] = rng.choice(num_paths, size=length, replace=False)
-    scratch: dict = {}
-    kernel.union_popcounts(words, indices, lengths, scratch)  # warm-up / JIT
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = perf_counter()
-        kernel.union_popcounts(words, indices, lengths, scratch)
-        best = min(best, perf_counter() - start)
-    return best
+        _selected = previous
 
 
 __all__ = [
-    "AUTO",
-    "KERNEL_ENV",
     "KERNELS",
     "FrequencyKernel",
-    "NumbaKernel",
     "NumpyKernel",
     "active_kernel",
-    "get_kernel",
-    "kernel_names",
-    "microbenchmark",
-    "requested_kernel",
-    "reset_kernel_selection",
-    "set_kernel",
     "use_kernel",
 ]

@@ -1,11 +1,10 @@
-"""The frequency-kernel contract shared by every implementation.
+"""The frequency-kernel contract.
 
 A kernel is a stateless pair of word-level loops over packed uint64
 observation words (see :mod:`repro.model.packed` for the bit layout).
 Implementations must accept *strided* word matrices — ring-buffer window
 views are non-contiguous column slices — and must be bit-identical to the
-canonical numpy kernel on every input: kernels trade wall clock, never
-results.
+numpy kernel on every input.
 """
 
 from __future__ import annotations
@@ -18,29 +17,10 @@ import numpy as np
 class FrequencyKernel:
     """Word-level popcount loops behind the packed observation backend.
 
-    Attributes
-    ----------
-    name:
-        Registry key (``"numpy"`` / ``"numba"``).
-    releases_gil:
-        True when :meth:`union_popcounts` runs without holding the GIL,
-        which lets the campaign runner shard sweeps across threads
-        (``executor="thread"``) instead of processes.
-    description:
-        One line for the ``kernels list`` CLI.
+    ``name`` is the kernel's key in :data:`repro.model.kernels.KERNELS`.
     """
 
     name: str = "abstract"
-    releases_gil: bool = False
-    description: str = ""
-
-    def is_available(self) -> bool:
-        """Whether this kernel can serve queries in this interpreter."""
-        raise NotImplementedError
-
-    def unavailable_reason(self) -> str:
-        """Human-readable reason when :meth:`is_available` is false."""
-        return ""
 
     def congestion_counts(self, words: np.ndarray) -> np.ndarray:
         """Per-row popcount sums: congested-interval counts per path.

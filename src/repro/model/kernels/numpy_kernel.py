@@ -1,10 +1,8 @@
-"""The canonical vectorised frequency kernel.
+"""The vectorised frequency kernel.
 
-This is the packed backend's original hot loop, extracted verbatim: a
-chunked fancy-index gather over a dummy-padded word store, a
+A chunked fancy-index gather over a dummy-padded word store, a
 ``np.bitwise_or.reduce`` over the member axis, and ``np.bitwise_count``
-over the union. It is always available and its outputs are the reference
-bits every other kernel must reproduce exactly.
+over the union.
 """
 
 from __future__ import annotations
@@ -43,13 +41,6 @@ class NumpyKernel(FrequencyKernel):
     """Chunked gather + OR-reduce + popcount on numpy ufuncs."""
 
     name = "numpy"
-    releases_gil = False
-    description = (
-        "vectorised gather + OR-reduce + popcount (canonical, always available)"
-    )
-
-    def is_available(self) -> bool:
-        return True
 
     def congestion_counts(self, words: np.ndarray) -> np.ndarray:
         return np.bitwise_count(words).sum(axis=1, dtype=np.int64)

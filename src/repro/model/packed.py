@@ -24,9 +24,7 @@ Two interchangeable backends implement the storage contract:
 The packed backend's two hot loops — the batched gather/OR/popcount of
 :meth:`PackedBackend.all_good_counts` and the row popcounts of
 :meth:`PackedBackend.congestion_counts` — dispatch through the pluggable
-kernel layer (:mod:`repro.model.kernels`): the canonical numpy kernel by
-default, an optional compiled GIL-free numba kernel when selected via
-``REPRO_KERNEL`` (bit-identical either way).
+kernel layer (:mod:`repro.model.kernels`), whose numpy kernel serves both.
 """
 
 from __future__ import annotations
@@ -145,9 +143,7 @@ class PackedBackend:
     # ships them to and from pool workers) in their uint64 word form: the
     # state is just the word matrix plus the horizon. The kernel scratch
     # is dropped — it holds caches, and strided window views are made
-    # contiguous so the payload is exactly the touched words. Thread
-    # shards (``executor="thread"``) never pickle at all: they share this
-    # backend zero-copy.
+    # contiguous so the payload is exactly the touched words.
     def __getstate__(self) -> dict:
         return {
             "words": np.ascontiguousarray(self.words),
@@ -207,7 +203,7 @@ class PackedBackend:
         (:mod:`repro.model.kernels`) — no Python per-set work. The empty
         set counts every interval (an all-empty batch short-circuits; an
         empty set inside a wider batch unions nothing and popcounts to
-        zero under either kernel). Returns an int64 array of
+        zero). Returns an int64 array of
         len(path_sets).
         """
         num_sets = len(path_sets)
@@ -220,8 +216,7 @@ class PackedBackend:
             return np.full(num_sets, total, dtype=np.int64)
         # Ragged sets become a rectangular index matrix padded with the
         # dummy row index ``num_paths`` (an implicit all-good row, a no-op
-        # under OR) plus the true lengths; each kernel consumes whichever
-        # of the two paddings suits its loop structure.
+        # under OR) plus the true lengths.
         dummy = self.num_paths
         indices = np.full((num_sets, widest), dummy, dtype=np.intp)
         lengths = np.empty(num_sets, dtype=np.int64)

@@ -148,7 +148,7 @@ def runtime_config() -> dict:
     """The picklable settings a worker needs to mirror this process.
 
     Shipped to shard workers by :mod:`repro.runner.pool` so telemetry
-    behaves identically under fork, spawn, and thread executors.
+    behaves identically in forked and spawned workers.
     """
     return {
         "mode": _mode,

@@ -12,14 +12,14 @@ Zero-dependency and deliberately small. Three pieces:
 * :class:`MetricsRegistry` — the thread-safe value store. The process
   has one global registry; :func:`capture_metrics` swaps a fresh
   registry in for the current :mod:`contextvars` context, which is how
-  shard workers (threads *or* processes) collect their increments into
-  a picklable snapshot the parent merges back deterministically — the
-  merged totals are identical whichever executor ran the shards.
+  shard workers collect their increments into a picklable snapshot the
+  parent merges back deterministically — the merged totals are identical
+  whether the shards ran inline or in worker processes.
 * **Local counter scopes** (:func:`local_counters`) — always-on,
   context-local delta accounting used where a *result* (not telemetry)
   needs per-scope counts: ``FitReport``'s per-fit frequency-cache
   traffic. Scopes are context-local, so two fits sharing one
-  ``FrequencyCache`` under the thread executor each see only their own
+  ``FrequencyCache`` concurrently in threads each see only their own
   traffic — global counter snapshots would double-count.
 
 Metric updates are cheap but not free; hot loops guard them with
@@ -272,8 +272,8 @@ def capture_metrics() -> Iterator[MetricsRegistry]:
     """Collect this context's metric updates into a fresh registry.
 
     Contexts are per-thread (and trivially per-process), so a shard
-    captured this way observes exactly its own updates whichever
-    executor runs it; the caller ships ``registry.snapshot()`` home and
+    captured this way observes exactly its own updates wherever it
+    runs; the caller ships ``registry.snapshot()`` home and
     the parent merges.
     """
     captured = MetricsRegistry()

@@ -122,9 +122,9 @@ class FitReport:
         kernel. Counted by a context-local scope the pipeline opens around
         the fit (:func:`repro.obs.local_counters`), so a fit against a warm
         :class:`SharedFitWorkspace` cache reports its own traffic — and two
-        fits sharing one cache concurrently under the thread executor each
-        see only their own, where the old global-snapshot deltas would
-        attribute both fits' traffic to whichever finished last.
+        fits sharing one cache concurrently in threads each see only their
+        own, where global-snapshot deltas would attribute both fits'
+        traffic to whichever finished last.
     equation_storage_bytes:
         Logical bytes of the assembled equation system's storage
         (:attr:`repro.linalg.system.EquationSystem.storage_nbytes`): one
@@ -135,8 +135,9 @@ class FitReport:
         execution order (see :data:`STAGE_ORDER`).
     kernel:
         Name of the frequency kernel (:mod:`repro.model.kernels`) active
-        when the pipeline finished this fit — diagnostic only; kernels are
-        bit-identical, so it never explains a numeric difference.
+        when the pipeline finished this fit — diagnostic only; registered
+        kernels are bit-identical, so it never explains a numeric
+        difference.
     """
 
     num_unknowns: int = 0
@@ -396,8 +397,8 @@ class FitContext:
     done: bool = False
     # Per-fit cache-counter scope, opened by EstimationPipeline.run().
     # Context-local (one per thread of execution), so concurrent fits
-    # sharing a SharedFitWorkspace cache under the thread executor each
-    # account only their own traffic — global-counter snapshots would
+    # sharing a SharedFitWorkspace cache in threads each account only
+    # their own traffic — global-counter snapshots would
     # fold the other fit's hits into this fit's delta.
     _local: Optional[LocalCounters] = None
 

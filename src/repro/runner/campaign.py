@@ -20,7 +20,17 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Union,
+    get_args,
+    get_type_hints,
+)
 
 from repro.experiments import ablation as _ablation
 from repro.experiments import figure3 as _figure3
@@ -29,9 +39,9 @@ from repro.experiments import mitigation as _mitigation
 from repro.experiments import realworld as _realworld
 from repro.experiments import scaling as _scaling
 from repro.experiments import scaling_topology as _scaling_topology
-from repro.experiments.config import ExperimentScale, scale_by_name
+from repro.experiments.config import SCALES, ExperimentScale, scale_by_name
 from repro.obs import flush, global_registry, metrics_enabled, render_json, span
-from repro.runner.pool import EXECUTORS, ProgressFn, ShardReport, run_trials
+from repro.runner.pool import ProgressFn, ShardReport, run_trials
 from repro.runner.spec import TrialResult, TrialSpec
 from repro.util.rng import spawn_seeds
 
@@ -360,10 +370,7 @@ class CampaignSpec:
 
     ``replicates > 1`` reruns the sweep at that many seeds spawned
     deterministically from ``seed``; all replicates' trials are sharded
-    through a single pool. ``executor`` picks how shards run
-    (``"auto"`` — the default — threads when the active frequency kernel
-    is GIL-free, else processes; or an explicit ``"thread"`` /
-    ``"process"``). ``dataset`` / ``scenario`` / ``estimator``
+    through a single pool. ``dataset`` / ``scenario`` / ``estimator``
     restrict a filter-accepting campaign (``realworld``, ``mitigation``)
     to comma-separated registered names (estimator aliases are accepted —
     see :mod:`repro.probability.registry`); ``policy`` restricts a
@@ -385,7 +392,6 @@ class CampaignSpec:
     scenario: Optional[str] = None
     estimator: Optional[str] = None
     policy: Optional[str] = None
-    executor: Optional[str] = "auto"
     serve_port: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -393,6 +399,10 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown campaign {self.campaign!r}; "
                 f"known campaigns: {sorted(CAMPAIGNS)}"
+            )
+        if self.scale not in SCALES:
+            raise ValueError(
+                f"unknown scale {self.scale!r}; known scales: {sorted(SCALES)}"
             )
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
@@ -402,11 +412,6 @@ class CampaignSpec:
             )
         if self.workers is not None and self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = all local CPUs) or null")
-        if self.executor is not None and self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {list(EXECUTORS)}"
-            )
         definition = CAMPAIGNS[self.campaign]
         if (
             self.dataset or self.scenario or self.estimator
@@ -458,8 +463,19 @@ class CampaignSpec:
 
 
 def load_campaign_spec(path: Union[str, Path]) -> CampaignSpec:
-    """Parse a JSON campaign spec file into a :class:`CampaignSpec`."""
-    raw = json.loads(Path(path).read_text())
+    """Parse a JSON campaign spec file into a :class:`CampaignSpec`.
+
+    Raises
+    ------
+    ValueError
+        Naming ``path`` (and the offending key, where there is one) when
+        the file is unreadable, not UTF-8 JSON, not an object, carries an
+        unknown or wrongly typed key, or fails the spec's validation.
+    """
+    try:
+        raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"campaign spec {path} is not readable JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"campaign spec {path} must be a JSON object")
     known = {f for f in CampaignSpec.__dataclass_fields__}
@@ -471,7 +487,24 @@ def load_campaign_spec(path: Union[str, Path]) -> CampaignSpec:
         )
     if "campaign" not in raw:
         raise ValueError(f"campaign spec {path} is missing 'campaign'")
-    return CampaignSpec(**raw)
+    hints = get_type_hints(CampaignSpec)
+    for key, value in raw.items():
+        allowed = get_args(hints[key]) or (hints[key],)
+        # bool is an int subclass; only a bool field takes true/false.
+        if not isinstance(value, allowed) or (
+            isinstance(value, bool) and bool not in allowed
+        ):
+            names = " or ".join(
+                "null" if kind is type(None) else kind.__name__ for kind in allowed
+            )
+            raise ValueError(
+                f"campaign spec {path}: {key!r} must be {names}, "
+                f"got {json.dumps(value)}"
+            )
+    try:
+        return CampaignSpec(**raw)
+    except ValueError as exc:
+        raise ValueError(f"campaign spec {path}: {exc}") from None
 
 
 @dataclass
@@ -505,7 +538,6 @@ class CampaignOutcome:
             "scale": self.spec.scale,
             "oracle": self.spec.oracle,
             "workers": self.spec.workers,
-            "executor": self.spec.executor,
             "dataset": self.spec.dataset,
             "scenario": self.spec.scenario,
             "estimator": self.spec.estimator,
@@ -583,7 +615,6 @@ def run_campaign(
                 specs,
                 workers=spec.workers,
                 progress=record,
-                executor=spec.executor,
             )
         elapsed = perf_counter() - start
     finally:

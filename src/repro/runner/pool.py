@@ -1,24 +1,11 @@
-"""Sharded trial execution (processes or threads) with a deterministic merge.
+"""Sharded trial execution across processes with a deterministic merge.
 
 The executor takes a list of :class:`~repro.runner.spec.TrialSpec` and a
 top-level *trial function* ``fn(spec, cache) -> payload`` and runs every
 trial, either inline (``workers=1`` — the serial path is the degenerate
 single-shard case of the same code) or sharded across a
-``concurrent.futures`` pool. Two shard executors share one partition,
-merge, and fault model:
-
-* ``executor="process"`` — a ``ProcessPoolExecutor``: true parallelism
-  whatever kernel is active, at the cost of pickling specs (with their
-  embedded experiments/packed words) into workers and pool start-up.
-* ``executor="thread"`` — a ``ThreadPoolExecutor``: shards run in the
-  parent interpreter and share its packed observation words and
-  group-level fit workspaces **zero-copy** (nothing is pickled, no
-  processes fork). Real speedup requires the hot kernel loops to release
-  the GIL — i.e. the compiled numba kernel
-  (:mod:`repro.model.kernels`); under the pure-numpy kernel thread
-  shards mostly serialise on the GIL.
-* ``executor="auto"`` — thread when the active kernel releases the GIL,
-  process otherwise.
+``concurrent.futures.ProcessPoolExecutor``, at the cost of pickling specs
+(with their embedded experiments/packed words) into workers.
 
 Three properties the experiment drivers rely on:
 
@@ -43,11 +30,7 @@ from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -72,8 +55,8 @@ from repro.runner.spec import TrialError, TrialResult, TrialSpec
 
 # Runner telemetry (REPRO_OBS=metrics|trace). Shards record into
 # capture-local registries that the parent merges in shard-index order, so
-# the merged totals are identical under the serial, thread, and process
-# executors.
+# the merged totals are identical whether the shards ran inline or in
+# worker processes.
 _TRIALS_TOTAL = counter(
     "repro_runner_trials_total",
     "Trials completed by shard workers.",
@@ -124,30 +107,6 @@ class ShardReport:
             f"{len(self.trials)} trial(s) in {self.elapsed:.2f}s "
             f"(pid {self.worker_pid})"
         )
-
-
-#: Recognised shard-executor modes.
-EXECUTORS = ("auto", "thread", "process")
-
-
-def resolve_executor(executor: Optional[str]) -> str:
-    """Normalise an ``executor`` request to ``"thread"`` or ``"process"``.
-
-    ``"auto"`` (or ``None``) picks threads exactly when the active
-    frequency kernel runs its hot loops without the GIL (the compiled
-    numba kernel), because only then do thread shards actually overlap;
-    otherwise it picks processes. Either resolution is bit-identical —
-    the choice is purely a wall-clock/memory trade.
-    """
-    if executor is None or executor == "auto":
-        from repro.model.kernels import active_kernel
-
-        return "thread" if active_kernel().releases_gil else "process"
-    if executor not in ("thread", "process"):
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {list(EXECUTORS)}"
-        )
-    return executor
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -229,13 +188,12 @@ def _run_shard(
     exact code path of the serial run. The last three parameters carry
     telemetry context across the executor boundary: the submission
     timestamp (``perf_counter`` is CLOCK_MONOTONIC on Linux, comparable
-    across the fork), the parent span id (worker threads and processes
-    both start with fresh span contexts), and the parent's
+    across the fork), the parent span id (worker processes start with
+    fresh span contexts), and the parent's
     :func:`repro.obs.runtime_config` (spawned workers re-read their own
     environment otherwise). Metric updates land in a capture-local
     registry shipped back on the outcome — never directly in a worker's
-    global registry, which is also what keeps the thread executor from
-    double-counting into the parent's.
+    global registry.
     """
     if obs_settings is not None:
         apply_runtime_config(obs_settings)
@@ -284,9 +242,7 @@ def _abort_pool(pool) -> None:
     interpreter waiting on it at exit) until the trial finished on its
     own. There is no public API for terminating workers, so snapshot the
     executor's process table *before* shutdown clears it, then SIGTERM
-    the survivors. Thread pools have no process table (and threads cannot
-    be killed): for them this only cancels unstarted shards — an
-    in-flight thread shard runs to completion in the background.
+    the survivors.
     """
     processes = dict(getattr(pool, "_processes", None) or {})
     pool.shutdown(wait=False, cancel_futures=True)
@@ -317,7 +273,6 @@ def run_trials(
     workers: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     timeout: Optional[float] = None,
-    executor: Optional[str] = "process",
 ) -> List[TrialResult]:
     """Execute every trial and merge results in canonical sweep order.
 
@@ -325,8 +280,7 @@ def run_trials(
     ----------
     trial_fn:
         Top-level function ``(spec, cache) -> payload``; must be
-        importable by name (picklable) when ``workers > 1`` on the
-        process executor. Thread shards call it directly.
+        importable by name (picklable) when ``workers > 1``.
     specs:
         The sweep's trials; ``spec.index`` values must be distinct.
     workers:
@@ -336,21 +290,13 @@ def run_trials(
         Called with a :class:`ShardReport` as each shard completes.
     timeout:
         Overall wall-clock bound in seconds; on expiry the pool is torn
-        down and a :class:`TrialError` lists the unfinished shards.
-        Process shards are SIGTERMed; a hung *thread* shard cannot be
-        killed and runs to completion in the background after the error
-        is raised.
-    executor:
-        ``"process"`` (default) shards across a process pool,
-        ``"thread"`` across threads in this interpreter — zero-copy: no
-        spec/observation pickling, no fork start-up — and ``"auto"``
-        picks threads exactly when the active frequency kernel releases
-        the GIL (see :func:`resolve_executor`).
+        down, its workers are SIGTERMed, and a :class:`TrialError` lists
+        the unfinished shards.
 
     Returns
     -------
     list of :class:`TrialResult`, sorted by ``spec.index`` — the same list
-    whatever the shard layout or executor, because trials are pure
+    whatever the shard layout, because trials are pure
     functions of their specs.
     """
     specs = list(specs)
@@ -359,7 +305,6 @@ def run_trials(
     by_index = {spec.index: spec for spec in specs}
     if len(by_index) != len(specs):
         raise ValueError("trial spec indices must be distinct")
-    mode = resolve_executor(executor)
     shards = partition_specs(specs, resolve_workers(workers))
     if len(shards) == 1 or resolve_workers(workers) == 1:
         outcomes = []
@@ -373,17 +318,11 @@ def run_trials(
     outcomes = []
     parent_span = current_span_id()
     obs_settings = runtime_config()
-    if mode == "thread":
-        pool = ThreadPoolExecutor(max_workers=len(shards))
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=len(shards), mp_context=_pool_context()
-        )
-    # Not a ``with`` block: ``Executor.__exit__`` joins workers, and a
-    # thread shard cannot be killed — a hung trial would block the abort
-    # path's TrialError behind its own join. Errors shut down without
-    # waiting (abandoned thread shards finish in the background); the
-    # success path still waits so no worker outlives its sweep.
+    pool = ProcessPoolExecutor(max_workers=len(shards), mp_context=_pool_context())
+    # Not a ``with`` block: ``Executor.__exit__`` joins workers, which
+    # would hold the abort path's TrialError behind a hung trial. Errors
+    # shut down without waiting; the success path waits so no worker
+    # outlives its sweep.
     try:
         futures = {
             pool.submit(
@@ -462,8 +401,8 @@ def _finish(
     """Fold shard telemetry into this process's registry, then merge.
 
     Metrics snapshots merge in shard-index order — not completion order —
-    so the parent registry ends up identical whichever executor ran the
-    shards and however their finishes interleaved.
+    so the parent registry ends up identical however the shards'
+    finishes interleaved.
     """
     for outcome in sorted(outcomes, key=lambda o: o.shard):
         if outcome.metrics is not None:

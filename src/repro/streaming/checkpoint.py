@@ -20,7 +20,7 @@ from __future__ import annotations
 import base64
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -33,6 +33,43 @@ from repro.topology.graph import Network
 
 #: Schema version of the checkpoint document.
 CHECKPOINT_VERSION = 1
+
+_REQUIRED = object()
+
+
+def _field(
+    document: dict,
+    key: str,
+    convert: Callable[[Any], Any] = int,
+    default: Any = _REQUIRED,
+    where: str = "",
+) -> Any:
+    """``convert(document[key])``, with any failure named by its key.
+
+    A missing key yields ``default`` (or an error when there is none); a
+    value ``convert`` rejects raises :class:`EstimationError` naming the
+    key instead of the converter's own error.
+    """
+    if key not in document:
+        if default is _REQUIRED:
+            raise EstimationError(f"checkpoint is missing {where + key!r}")
+        return default
+    try:
+        return convert(document[key])
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise EstimationError(
+            f"checkpoint field {where + key!r} is invalid: {exc!r}"
+        ) from None
+
+
+def _object(value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _optional_int(value: Any) -> Optional[int]:
+    return None if value is None else int(value)
 
 
 def _alert_state(manager: AlertManager) -> dict:
@@ -108,7 +145,6 @@ def checkpoint_state(engine: StreamingEstimator) -> dict:
         "workload_limit": engine.workload_limit,
         "max_windows": engine.max_windows,
         "max_alerts": engine.max_alerts,
-        "kernel": engine.kernel,
         "num_paths": engine.buffer.num_paths,
         "num_links": engine.network.num_links,
         "estimator": engine.estimator.name,
@@ -166,58 +202,85 @@ def restore_engine(
     echo (path/link counts, window geometry) is validated against them.
     The restored engine resumes ingestion at the exact round the
     checkpointed one stopped, with the same warm workload, alert
-    hysteresis state, and window numbering.
+    hysteresis state, and window numbering. A ``"kernel"`` field, written
+    by older versions, is ignored.
+
+    Raises
+    ------
+    EstimationError
+        When the checkpoint is unreadable, is not a JSON object, lacks a
+        required field, or holds a field that is malformed or
+        inconsistent with ``network``; the message names the field.
     """
     if isinstance(source, (str, Path)):
-        state = json.loads(Path(source).read_text(encoding="utf-8"))
+        try:
+            state = json.loads(Path(source).read_bytes().decode("utf-8"))
+        except (OSError, ValueError) as exc:
+            raise EstimationError(
+                f"checkpoint {source} is not readable JSON: {exc}"
+            ) from None
     else:
         state = source
+    if not isinstance(state, dict):
+        raise EstimationError(
+            f"checkpoint must be a JSON object, got {type(state).__name__}"
+        )
     if state.get("version") != CHECKPOINT_VERSION:
         raise EstimationError(
             f"unsupported checkpoint version {state.get('version')!r}"
         )
-    if state["num_paths"] != network.num_paths:
+    num_paths = _field(state, "num_paths")
+    if num_paths != network.num_paths:
         raise EstimationError(
-            f"checkpoint monitored {state['num_paths']} paths, "
+            f"checkpoint monitored {num_paths} paths, "
             f"network has {network.num_paths}"
         )
-    if state["num_links"] != network.num_links:
+    num_links = _field(state, "num_links")
+    if num_links != network.num_links:
         raise EstimationError(
-            f"checkpoint monitored {state['num_links']} links, "
+            f"checkpoint monitored {num_links} links, "
             f"network has {network.num_links}"
         )
-    ring_state = state["ring"]
-    raw = base64.b64decode(ring_state["words"])
-    num_words = int(ring_state["num_words"])
+    ring_state = _field(state, "ring", _object)
+    raw = _field(
+        ring_state,
+        "words",
+        lambda text: base64.b64decode(text, validate=True),
+        where="ring.",
+    )
+    num_words = _field(ring_state, "num_words", where="ring.")
+    if num_words < 0 or len(raw) != num_paths * num_words * 8:
+        raise EstimationError(
+            f"checkpoint field 'ring.num_words' ({num_words}) does not match "
+            f"the {len(raw)}-byte payload for {num_paths} paths"
+        )
     # Inverse of the byte-semantic serialization above: reinterpret the
     # canonical packed bytes as this host's native uint64 words, exactly
     # as pack_bool_matrix does when packing fresh observations.
     words = (
         np.frombuffer(raw, dtype=np.uint8)
-        .reshape(int(state["num_paths"]), num_words * 8)
+        .reshape(num_paths, num_words * 8)
         .copy()
         .view(np.uint64)
     )
+    retention = _field(state, "retention")
     ring = PackedRingBuffer.restore(
         words,
-        int(ring_state["first_interval"]),
-        int(ring_state["end_interval"]),
-        int(state["retention"]),
+        _field(ring_state, "first_interval", where="ring."),
+        _field(ring_state, "end_interval", where="ring."),
+        retention,
     )
-    max_windows = state.get("max_windows")
-    max_alerts = state.get("max_alerts")
     engine = StreamingEstimator(
         network,
         estimator=estimator,
-        window=int(state["window"]),
-        stride=int(state["stride"]),
-        retention=int(state["retention"]),
+        window=_field(state, "window"),
+        stride=_field(state, "stride"),
+        retention=retention,
         alert_manager=alert_manager,
-        workload_limit=int(state.get("workload_limit", 8192)),
-        max_windows=None if max_windows is None else int(max_windows),
-        max_alerts=None if max_alerts is None else int(max_alerts),
+        workload_limit=_field(state, "workload_limit", default=8192),
+        max_windows=_field(state, "max_windows", _optional_int, None),
+        max_alerts=_field(state, "max_alerts", _optional_int, None),
         ring=ring,
-        kernel=state.get("kernel"),
     )
     if engine.estimator.name != state.get("estimator"):
         raise EstimationError(
@@ -225,17 +288,34 @@ def restore_engine(
             f"{state.get('estimator')!r}, restore supplied "
             f"{engine.estimator.name!r}"
         )
-    engine._next_start = int(state["next_window_start"])
-    engine._workload = [frozenset(s) for s in state.get("workload", [])]
+    engine._next_start = _field(state, "next_window_start")
+    engine._workload = _field(
+        state,
+        "workload",
+        lambda sets: [_path_set(members, num_paths) for members in sets],
+        [],
+    )
     # Window numbering continues from the checkpoint: the restored engine's
     # first emitted window picks up the global index where the
     # checkpointed monitor stopped.
-    engine.windows_emitted = int(state.get("emitted_windows", 0))
-    counters = state.get("counters", {})
-    engine.refits = int(counters.get("refits", 0))
-    engine.skipped_windows = int(counters.get("skipped_windows", 0))
-    engine.cache_hits = int(counters.get("cache_hits", 0))
-    engine.cache_misses = int(counters.get("cache_misses", 0))
+    engine.windows_emitted = _field(state, "emitted_windows", default=0)
+    counters = _field(state, "counters", _object, {})
+    engine.refits = _field(counters, "refits", default=0, where="counters.")
+    engine.skipped_windows = _field(
+        counters, "skipped_windows", default=0, where="counters."
+    )
+    engine.cache_hits = _field(counters, "cache_hits", default=0, where="counters.")
+    engine.cache_misses = _field(counters, "cache_misses", default=0, where="counters.")
     if alert_manager is not None and state.get("alerts"):
-        _restore_alert_state(alert_manager, state["alerts"])
+        _field(
+            state, "alerts", lambda alerts: _restore_alert_state(alert_manager, alerts)
+        )
     return engine
+
+
+def _path_set(members: Any, num_paths: int) -> frozenset:
+    """One workload path set, with every member a path of the network."""
+    path_set = frozenset(int(member) for member in members)
+    if any(not 0 <= member < num_paths for member in path_set):
+        raise ValueError(f"path set {sorted(path_set)} outside [0, {num_paths})")
+    return path_set

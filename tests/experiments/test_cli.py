@@ -366,106 +366,6 @@ def test_campaign_invalid_overrides_rejected():
         main(["campaign", "scaling", "--workers", "-1"])
 
 
-def test_kernels_list(capsys):
-    assert main(["kernels", "list"]) == 0
-    out = capsys.readouterr().out
-    assert "Frequency kernels" in out
-    assert "numpy" in out
-    assert "numba" in out
-    assert "requested:" in out
-    assert "REPRO_KERNEL" in out
-    # Exactly one kernel is marked active.
-    assert sum("*" in line for line in out.splitlines()) == 1
-
-
-def test_kernels_list_bench(capsys):
-    assert main(["kernels", "list", "--bench"]) == 0
-    out = capsys.readouterr().out
-    assert "Bench (ms)" in out
-
-
-def test_kernels_info(capsys):
-    assert main(["kernels", "info", "numpy"]) == 0
-    out = capsys.readouterr().out
-    assert "numpy:" in out
-    assert "releases the GIL: False" in out
-    assert "available: yes" in out
-    assert "micro-benchmark" in out
-    assert main(["kernels", "info", "numba"]) == 0
-    out = capsys.readouterr().out
-    assert "numba:" in out
-    assert "releases the GIL: True" in out
-
-
-def test_kernels_info_unknown_name():
-    with pytest.raises(SystemExit, match="unknown kernel"):
-        main(["kernels", "info", "simd"])
-    with pytest.raises(SystemExit, match="provide a kernel name"):
-        main(["kernels", "info"])
-
-
-def test_figure_executor_flag(capsys):
-    assert (
-        main(
-            [
-                "scaling",
-                "--scale",
-                "tiny",
-                "--workers",
-                "2",
-                "--executor",
-                "thread",
-            ]
-        )
-        == 0
-    )
-    assert "Algorithm 1 scaling" in capsys.readouterr().out
-
-
-def test_campaign_executor_flag(capsys):
-    assert (
-        main(
-            [
-                "campaign",
-                "scaling",
-                "--scale",
-                "tiny",
-                "--workers",
-                "2",
-                "--executor",
-                "thread",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "Algorithm 1 scaling" in out
-
-
-def test_monitor_kernel_flag(capsys):
-    assert (
-        main(
-            [
-                "monitor",
-                "--scale",
-                "tiny",
-                "--dataset",
-                "abilene",
-                "--scenario",
-                "diurnal",
-                "--intervals",
-                "48",
-                "--window",
-                "32",
-                "--kernel",
-                "numpy",
-            ]
-        )
-        == 0
-    )
-    assert "refits" in capsys.readouterr().out
-
-
 def test_policies_list(capsys):
     assert main(["policies", "list"]) == 0
     out = capsys.readouterr().out
@@ -570,8 +470,16 @@ def test_campaign_bad_output_fails_fast(tmp_path):
         main(["campaign", "scaling", "--output", str(clobber)])
 
 
-def test_monitor_unknown_kernel_errors():
-    with pytest.raises(SystemExit, match="unknown kernel"):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--window", "1", "window must cover at least 2 intervals"),
+        ("--stride", "0", "stride must be >= 1"),
+        ("--chunk", "0", "chunk_intervals must be >= 1"),
+    ],
+)
+def test_monitor_bad_geometry_errors(flag, value, message):
+    with pytest.raises(SystemExit, match=message):
         main(
             [
                 "monitor",
@@ -581,7 +489,7 @@ def test_monitor_unknown_kernel_errors():
                 "abilene",
                 "--scenario",
                 "diurnal",
-                "--kernel",
-                "simd",
+                flag,
+                value,
             ]
         )

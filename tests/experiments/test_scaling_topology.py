@@ -24,9 +24,7 @@ from repro.runner.campaign import CAMPAIGNS
 
 @pytest.fixture(scope="module")
 def result() -> ScalingTopologyResult:
-    return run_scaling_topology(
-        scale_by_name("tiny"), seed=17, sizes=[200], workers=1, executor=None
-    )
+    return run_scaling_topology(scale_by_name("tiny"), seed=17, sizes=[200], workers=1)
 
 
 def test_specs_cover_every_size():

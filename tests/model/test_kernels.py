@@ -1,12 +1,11 @@
-"""The pluggable frequency-kernel layer: dispatch, fallback, and parity.
+"""The frequency-kernel layer: registry, scoped selection, and parity.
 
 Two families of guarantees:
 
-* **Dispatch** — ``REPRO_KERNEL`` / :func:`set_kernel` / :func:`use_kernel`
-  select kernels predictably, unknown names fail fast, and requesting a
-  kernel that cannot run degrades to the numpy kernel with exactly one
-  warning.
-* **Parity** — every available kernel is bit-identical to the dense
+* **Selection** — the numpy kernel serves every query unless a registered
+  kernel is scoped in with :func:`use_kernel`, which restores the previous
+  selection on exit; unknown names fail fast.
+* **Parity** — every registered kernel is bit-identical to the dense
   reference backend on a property sweep over window offsets, window
   lengths, and path-set widths, including unaligned ``slice_intervals``
   windows and the strided word views served by the streaming ring buffer.
@@ -14,21 +13,13 @@ Two families of guarantees:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.model import kernels
 from repro.model.kernels import (
+    KERNELS,
     NumpyKernel,
     active_kernel,
-    get_kernel,
-    kernel_names,
-    microbenchmark,
-    requested_kernel,
-    reset_kernel_selection,
-    set_kernel,
     use_kernel,
 )
 from repro.model.kernels.numpy_kernel import (
@@ -40,93 +31,54 @@ from repro.model.status import ObservationMatrix
 from repro.streaming.buffer import PackedRingBuffer
 
 
-@pytest.fixture(autouse=True)
-def clean_selection(monkeypatch):
-    """Each test starts from env-free auto selection and leaves no override."""
-    monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-    reset_kernel_selection()
-    yield
-    reset_kernel_selection()
+class _Recording(NumpyKernel):
+    """A numpy kernel registered under its own name that counts its calls."""
 
+    name = "recording"
 
-def available_kernel_names():
-    return [name for name in kernel_names() if get_kernel(name).is_available()]
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def union_popcounts(self, words, indices, lengths, scratch):
+        self.calls += 1
+        return super().union_popcounts(words, indices, lengths, scratch)
 
 
 class TestDispatch:
-    def test_registry_prefers_compiled_kernel(self):
-        assert kernel_names() == ["numba", "numpy"]
-
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
-            get_kernel("simd")
+            with use_kernel("simd"):
+                pass  # pragma: no cover
+        assert active_kernel() is KERNELS["numpy"]
 
     def test_numpy_kernel_always_available(self):
-        kernel = get_kernel("numpy")
-        assert kernel.is_available()
-        assert kernel.unavailable_reason() == ""
-        assert not kernel.releases_gil
-
-    def test_auto_resolves_to_an_available_kernel(self):
-        assert requested_kernel() == kernels.AUTO
-        assert active_kernel().is_available()
+        assert active_kernel() is KERNELS["numpy"]
+        assert isinstance(active_kernel(), NumpyKernel)
 
     def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-        assert requested_kernel() == "numpy"
-        assert active_kernel() is get_kernel("numpy")
-
-    def test_set_kernel_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "auto")
-        assert set_kernel("numpy") is get_kernel("numpy")
-        assert active_kernel() is get_kernel("numpy")
-        set_kernel(None)
-        assert requested_kernel() == "auto"
-
-    def test_set_kernel_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            set_kernel("simd")
+        """The environment selects nothing: an old ``REPRO_KERNEL`` is inert."""
+        monkeypatch.setenv("REPRO_KERNEL", "numba")
+        assert active_kernel() is KERNELS["numpy"]
 
     def test_use_kernel_scopes_and_restores(self):
-        before = requested_kernel()
-        with use_kernel("numpy") as kernel:
-            assert kernel is get_kernel("numpy")
-            assert active_kernel() is kernel
-        assert requested_kernel() == before
-
-    def test_use_kernel_none_is_a_noop_scope(self):
-        with use_kernel(None) as kernel:
-            assert kernel is active_kernel()
-        assert requested_kernel() == kernels.AUTO
-
-    def test_unavailable_request_falls_back_with_one_warning(self, monkeypatch):
-        """``REPRO_KERNEL=numba`` without numba degrades cleanly, warns once."""
-        numba = kernels.KERNELS["numba"]
-        monkeypatch.setattr(numba, "is_available", lambda: False)
-        monkeypatch.setattr(
-            numba, "unavailable_reason", lambda: "numba is not importable"
-        )
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numba")
-        reset_kernel_selection()
-        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
-            assert active_kernel() is get_kernel("numpy")
-        # Re-resolving the same unavailable request must stay silent.
-        kernels._resolved = None  # force re-resolution without clearing _warned
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert active_kernel() is get_kernel("numpy")
-
-    def test_auto_fallback_is_silent(self, monkeypatch):
-        numba = kernels.KERNELS["numba"]
-        monkeypatch.setattr(numba, "is_available", lambda: False)
-        reset_kernel_selection()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert active_kernel().is_available()
-
-    def test_microbenchmark_times_available_kernels(self):
-        for name in available_kernel_names():
-            assert microbenchmark(get_kernel(name), repeats=1) > 0.0
+        """A registered kernel serves the backend's queries only in scope."""
+        kernel = _Recording()
+        KERNELS[kernel.name] = kernel
+        try:
+            obs = ObservationMatrix(np.eye(70, 4, dtype=bool), backend="packed")
+            with use_kernel(kernel.name) as scoped:
+                assert scoped is kernel
+                assert active_kernel() is kernel
+                with use_kernel("numpy"):
+                    assert active_kernel() is KERNELS["numpy"]
+                assert active_kernel() is kernel
+                obs.all_good_frequencies([[0, 1], [2]])
+            assert kernel.calls == 1
+            assert active_kernel() is KERNELS["numpy"]
+            obs.all_good_frequencies([[0, 3]])
+            assert kernel.calls == 1
+        finally:
+            KERNELS.pop(kernel.name)
 
 
 class TestGatherChunk:
@@ -164,15 +116,8 @@ def _reference_union_popcounts(matrix, path_sets):
     return np.array(counts, dtype=np.int64)
 
 
-@pytest.mark.parametrize("name", kernel_names())
+@pytest.mark.parametrize("name", list(KERNELS))
 class TestKernelParity:
-    @pytest.fixture(autouse=True)
-    def skip_unavailable(self, name):
-        kernel = get_kernel(name)
-        if not kernel.is_available():
-            pytest.skip(f"kernel {name} unavailable: "
-                        f"{kernel.unavailable_reason()}")
-
     def test_union_popcounts_unit_contract(self, name):
         """Raw kernel call vs dense reference, dummy padding and length 0."""
         rng = np.random.default_rng(31)
@@ -191,7 +136,7 @@ class TestKernelParity:
         for i, members in enumerate(path_sets):
             indices[i, : len(members)] = members
             lengths[i] = len(members)
-        counts = get_kernel(name).union_popcounts(words, indices, lengths, {})
+        counts = KERNELS[name].union_popcounts(words, indices, lengths, {})
         np.testing.assert_array_equal(
             counts, _reference_union_popcounts(matrix, path_sets)
         )
@@ -280,7 +225,7 @@ class TestKernelParity:
                 )
 
     def test_kernels_agree_pairwise(self, name):
-        """Every available kernel reproduces the numpy kernel's exact bits."""
+        """Every registered kernel reproduces the dense backend's exact bits."""
         rng = np.random.default_rng(47)
         matrix = rng.random((321, 17)) < 0.4
         sets = [[]] + [
@@ -288,8 +233,9 @@ class TestKernelParity:
             for k in (1, 2, 4, 8, 17)
             for _ in range(3)
         ]
-        with use_kernel("numpy"):
-            reference = ObservationMatrix(matrix).all_good_frequencies(sets)
+        reference = ObservationMatrix(matrix, backend="dense").all_good_frequencies(
+            sets
+        )
         with use_kernel(name):
             np.testing.assert_array_equal(
                 ObservationMatrix(matrix).all_good_frequencies(sets), reference

@@ -2,14 +2,14 @@
 
 The load-bearing contracts:
 
-* metric totals are identical whichever executor ran the shards
-  (serial / thread / process) — shard workers capture into local
-  registries that merge deterministically;
+* metric totals are identical whether the shards ran serially or in
+  worker processes — shard workers capture into local registries that
+  merge deterministically;
 * span parent links survive the process boundary, so a campaign's
   trace renders as one tree;
 * ``FitReport`` frequency-cache counters are per-fit even when
-  concurrent fits share one ``SharedFitWorkspace`` under the thread
-  executor (context-local scopes, not global snapshot deltas);
+  concurrent fits share one ``SharedFitWorkspace`` in threads
+  (context-local scopes, not global snapshot deltas);
 * ``FitReport.stage_seconds`` and the trace's stage spans are the same
   measurement (reconcile within 1ms).
 """
@@ -84,14 +84,13 @@ def test_metric_totals_identical_across_executors():
     merged = {}
     for label, kwargs in {
         "serial": {"workers": 1},
-        "thread": {"workers": 2, "executor": "thread"},
-        "process": {"workers": 2, "executor": "process"},
+        "process": {"workers": 2},
     }.items():
         with obs.use_mode("metrics"), obs.capture_metrics() as captured:
             results = run_trials(metric_trial, specs, **kwargs)
         assert [r.payload for r in results] == list(range(6))
         merged[label] = _own_series(captured.snapshot())
-    assert merged["serial"] == merged["thread"] == merged["process"]
+    assert merged["serial"] == merged["process"]
     counters = dict(
         ((name, tuple(lv)), value) for name, lv, value in merged["serial"]["counters"]
     )
@@ -106,9 +105,7 @@ def test_runner_metrics_cover_trials_and_shards():
     specs = [_spec(i) for i in range(4)]
     reports = []
     with obs.use_mode("metrics"), obs.capture_metrics() as captured:
-        run_trials(
-            metric_trial, specs, workers=2, executor="process", progress=reports.append
-        )
+        run_trials(metric_trial, specs, workers=2, progress=reports.append)
     snapshot = captured.snapshot()
     counters = {name: value for name, _lv, value in snapshot["counters"]}
     assert counters["repro_runner_trials_total"] == 4
@@ -124,7 +121,7 @@ def test_span_parents_cross_the_process_boundary(tmp_path):
     specs = [_spec(i) for i in range(4)]
     with obs.use_mode("trace", path):
         with obs.span("driver") as driver:
-            run_trials(metric_trial, specs, workers=2, executor="process")
+            run_trials(metric_trial, specs, workers=2)
         obs.flush()
     events = obs.load_events(path)
     assert obs.validate_events(events) == []

@@ -176,9 +176,7 @@ def powerlaw_digest() -> Dict[str, str]:
 
 def scaling_topology_digests() -> Dict[str, str]:
     """Route and estimate digests of the ``scaling-topology`` tiny sizes."""
-    result = run_scaling_topology(
-        TINY, seed=17, sizes=list(SCALING_SIZES), workers=1, executor=None
-    )
+    result = run_scaling_topology(TINY, seed=17, sizes=list(SCALING_SIZES), workers=1)
     digests = {}
     for size in SCALING_SIZES:
         row = result.cell(size)
@@ -198,7 +196,6 @@ def mitigation_digests() -> Dict[str, str]:
         seed=13,
         estimators=list(MITIGATION_ESTIMATORS),
         workers=1,
-        executor=None,
     )
     return {
         "mitigation/" + "/".join(key): hashlib.sha256(

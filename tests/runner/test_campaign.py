@@ -76,6 +76,59 @@ def test_load_spec_rejects_non_object(tmp_path):
         load_campaign_spec(path)
 
 
+def test_load_spec_with_executor(tmp_path):
+    """Specs written for the removed thread executor fail the key check."""
+    path = tmp_path / "sweep.json"
+    path.write_text(
+        json.dumps({"campaign": "scaling", "workers": 2, "executor": "thread"})
+    )
+    with pytest.raises(ValueError, match=r"unknown keys \['executor'\]"):
+        load_campaign_spec(path)
+
+
+@pytest.mark.parametrize(
+    "content, key",
+    [
+        (b'{"campaign": "scal', None),
+        (b'{"campaign": "scaling", "output": "\xff\xfe"}', None),
+        (b'"scaling"', None),
+        (b'{"campaign": "scaling", "replicates": "3"}', "replicates"),
+        (b'{"campaign": "scaling", "workers": "2"}', "workers"),
+        (b'{"campaign": "scaling", "serve_port": "80"}', "serve_port"),
+        (b'{"campaign": "scaling", "replicates": true}', "replicates"),
+        (b'{"campaign": 7}', "campaign"),
+        (b'{"campaign": "scaling", "scale": "huge"}', "huge"),
+    ],
+    ids=[
+        "truncated",
+        "non-utf8",
+        "non-object",
+        "replicates-str",
+        "workers-str",
+        "serve_port-str",
+        "replicates-bool",
+        "campaign-int",
+        "unknown-scale",
+    ],
+)
+def test_hostile_spec_fails_with_a_message(tmp_path, capsys, content, key):
+    """Malformed specs raise ValueError naming the file (and the key), and
+    the CLI turns that into a one-line exit instead of a traceback."""
+    from repro.cli import main
+
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as excinfo:
+        load_campaign_spec(path)
+    message = str(excinfo.value)
+    assert str(path) in message
+    if key is not None:
+        assert key in message
+    with pytest.raises(SystemExit) as exited:
+        main(["campaign", str(path)])
+    assert str(exited.value) == f"invalid campaign spec: {message}"
+
+
 @pytest.fixture(scope="module")
 def scaling_outcome():
     """A replicated scaling campaign, sharded over two processes."""
@@ -127,47 +180,6 @@ def test_write_outcome(scaling_outcome, tmp_path):
     for shard in payload["shards"]:
         assert shard["trials"]
         assert shard["elapsed_s"] >= 0.0
-
-
-def test_spec_executor_validation():
-    assert CampaignSpec(campaign="scaling").executor == "auto"
-    for mode in ("auto", "thread", "process"):
-        assert CampaignSpec(campaign="scaling", executor=mode).executor == mode
-    with pytest.raises(ValueError, match="unknown executor"):
-        CampaignSpec(campaign="scaling", executor="greenlet")
-
-
-def test_load_spec_with_executor(tmp_path):
-    path = tmp_path / "sweep.json"
-    path.write_text(
-        json.dumps({"campaign": "scaling", "workers": 2, "executor": "thread"})
-    )
-    assert load_campaign_spec(path).executor == "thread"
-
-
-def test_thread_campaign_matches_process_campaign():
-    thread = run_campaign(
-        CampaignSpec(campaign="scaling", scale="tiny", workers=2, executor="thread")
-    )
-    process = run_campaign(
-        CampaignSpec(campaign="scaling", scale="tiny", workers=2, executor="process")
-    )
-
-    def stable(outcome):
-        # Everything but each point's own wall clock is deterministic.
-        return [
-            {key: value for key, value in row.items() if key != "seconds"}
-            for row in outcome.replicates[0].summary["rows"]
-        ]
-
-    assert stable(thread) == stable(process)
-
-
-def test_outcome_json_records_executor(scaling_outcome, tmp_path):
-    payload = json.loads(
-        write_outcome(scaling_outcome, tmp_path / "results").read_text()
-    )
-    assert payload["executor"] == scaling_outcome.spec.executor
 
 
 def test_validate_output_dir_creates_nested_path(tmp_path):

@@ -1,11 +1,9 @@
 """Parallel runs must be bit-identical to serial runs, driver by driver.
 
 The runner's core guarantee: a sweep's merged result is a pure function of
-its trial specs, so ``workers=4`` — whether process-sharded or
-thread-sharded — reproduces ``workers=1`` (serial, in-process) exactly,
-including the raw per-link error arrays, not just summary statistics.
-Thread shards additionally share the parent's packed words zero-copy:
-nothing may cross a pickle boundary.
+its trial specs, so ``workers=4`` (process-sharded) reproduces
+``workers=1`` (serial, in-process) exactly, including the raw per-link
+error arrays, not just summary statistics.
 """
 
 from __future__ import annotations
@@ -83,62 +81,3 @@ def test_workers_auto_matches_serial():
     auto = run_algorithm1_scaling(TINY, seed=3, subset_sizes=[1], workers=None)
     assert serial.rows[0].num_equations == auto.rows[0].num_equations
     assert serial.rows[0].rank == auto.rows[0].rank
-
-
-def test_figure4_thread_executor_bit_identical(figure4_serial):
-    threaded = run_figure4(TINY, seed=2, workers=4, executor="thread")
-    assert set(figure4_serial.rows) == set(threaded.rows)
-    for key, serial in figure4_serial.rows.items():
-        assert np.array_equal(serial.errors, threaded.rows[key].errors)
-        assert serial.mean_absolute_error == threaded.rows[key].mean_absolute_error
-    assert figure4_serial.subset_rows == threaded.subset_rows
-
-
-def test_figure3_thread_executor_bit_identical():
-    serial = run_figure3(TINY, seed=1, workers=1)
-    threaded = run_figure3(TINY, seed=1, workers=4, executor="thread")
-    assert set(serial.rows) == set(threaded.rows)
-    for key, metrics in serial.rows.items():
-        assert metrics.detection_rate == threaded.rows[key].detection_rate
-        assert (
-            metrics.false_positive_rate == threaded.rows[key].false_positive_rate
-        )
-
-
-def test_ablation_thread_executor_bit_identical():
-    serial = run_ablation(TINY, seed=5, workers=1)
-    threaded = run_ablation(TINY, seed=5, workers=4, executor="thread")
-    assert serial.errors == threaded.errors
-
-
-def test_scaling_thread_executor_bit_identical():
-    serial = run_algorithm1_scaling(TINY, seed=3, subset_sizes=[1, 2], workers=1)
-    threaded = run_algorithm1_scaling(
-        TINY, seed=3, subset_sizes=[1, 2], workers=2, executor="thread"
-    )
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a.num_equations == b.num_equations
-        assert a.rank == b.rank
-        assert a.num_identifiable == b.num_identifiable
-
-
-def test_thread_shards_never_pickle_observations(monkeypatch):
-    """Thread mode is zero-copy: no observation backend crosses pickle.
-
-    A counting wrapper around ``PackedBackend.__getstate__`` (the hook
-    every pickle of a packed observation store must pass through) proves
-    the whole thread-sharded figure4 sweep ships nothing by value.
-    """
-    from repro.model.packed import PackedBackend
-
-    calls = []
-    original = PackedBackend.__getstate__
-
-    def spying_getstate(self):
-        calls.append(1)
-        return original(self)
-
-    monkeypatch.setattr(PackedBackend, "__getstate__", spying_getstate)
-    result = run_figure4(TINY, seed=2, workers=4, executor="thread")
-    assert result.rows  # the sweep really ran
-    assert calls == []

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded trial executor (process and thread modes)."""
+"""Unit tests for the sharded trial executor."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ import time
 import pytest
 
 from repro.runner import (
-    EXECUTORS,
     ShardReport,
     TrialError,
     TrialSpec,
     partition_specs,
-    resolve_executor,
     resolve_workers,
     run_trials,
 )
@@ -76,29 +74,6 @@ class TestResolveWorkers:
             resolve_workers(-2)
 
 
-class TestResolveExecutor:
-    def test_explicit_modes_pass_through(self):
-        assert resolve_executor("thread") == "thread"
-        assert resolve_executor("process") == "process"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("greenlet")
-        assert set(EXECUTORS) == {"auto", "thread", "process"}
-
-    def test_auto_follows_the_active_kernel(self, monkeypatch):
-        from repro.model import kernels
-
-        expected = "thread" if kernels.active_kernel().releases_gil else "process"
-        assert resolve_executor("auto") == expected
-        assert resolve_executor(None) == expected
-        # A GIL-free kernel flips auto to threads.
-        monkeypatch.setattr(
-            type(kernels.active_kernel()), "releases_gil", True
-        )
-        assert resolve_executor("auto") == "thread"
-
-
 class TestPartition:
     def test_groups_stay_together(self):
         specs = [_spec(i, group=("g", i % 2)) for i in range(6)]
@@ -159,6 +134,12 @@ class TestRunTrials:
         # One shard, one cache: each trial sees its predecessors.
         assert [r.payload for r in results] == [0, 1, 2]
 
+    def test_shard_local_cache_restarts_per_shard(self):
+        specs = [_spec(i, group=("g", i % 2)) for i in range(6)]
+        results = run_trials(cache_counting_trial, specs, workers=2)
+        # Two shards of three trials each: counts restart per shard cache.
+        assert sorted(r.payload for r in results) == [0, 0, 1, 1, 2, 2]
+
     def test_progress_reports(self):
         specs = [_spec(i, group=("g", i % 2)) for i in range(4)]
         reports = []
@@ -174,52 +155,6 @@ class TestRunTrials:
         results = run_trials(echo_trial, [_spec(0)], workers=1)
         assert results[0].elapsed >= 0.0
         assert results[0].worker_pid == os.getpid()
-
-
-class TestThreadExecutor:
-    def test_thread_matches_serial_and_process(self):
-        specs = [_spec(i, group=("g", i % 3)) for i in range(9)]
-        serial = run_trials(echo_trial, specs, workers=1)
-        threaded = run_trials(echo_trial, specs, workers=4, executor="thread")
-        assert [r.payload for r in serial] == [r.payload for r in threaded]
-
-    def test_thread_shards_share_the_parent_pid(self):
-        specs = [_spec(i, group=("g", i)) for i in range(4)]
-        results = run_trials(echo_trial, specs, workers=4, executor="thread")
-        assert {r.worker_pid for r in results} == {os.getpid()}
-
-    def test_thread_shard_local_cache(self):
-        specs = [_spec(i, group=("g", i % 2)) for i in range(6)]
-        results = run_trials(
-            cache_counting_trial, specs, workers=2, executor="thread"
-        )
-        # Two shards of three trials each: counts restart per shard cache.
-        assert sorted(r.payload for r in results) == [0, 0, 1, 1, 2, 2]
-
-    def test_thread_failure_names_the_trial(self):
-        specs = [_spec(i, group=("g", i)) for i in range(4)]
-        with pytest.raises(TrialError) as excinfo:
-            run_trials(failing_trial, specs, workers=2, executor="thread")
-        assert excinfo.value.spec is not None
-        assert excinfo.value.spec.index == 2
-        assert "boom on index 2" in str(excinfo.value)
-
-    def test_thread_timeout_raises_without_joining_the_shard(self):
-        specs = [
-            _spec(0, group=("fast",)),
-            _spec(1, group=("slow",), sleep=2.0),
-        ]
-        start = time.monotonic()
-        with pytest.raises(TrialError, match="timed out"):
-            run_trials(
-                sleeping_trial, specs, workers=2, timeout=0.3, executor="thread"
-            )
-        # The abandoned sleeping shard must not delay the error.
-        assert time.monotonic() - start < 1.5
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_trials(echo_trial, [_spec(0)], workers=2, executor="greenlet")
 
 
 class TestFaultPaths:

@@ -222,40 +222,96 @@ def test_restore_validates_structure(setup, tmp_path):
         restore_engine(wrong_links, network)
 
 
-def test_checkpoint_preserves_kernel_pin(setup, tmp_path):
+@pytest.mark.parametrize("kernel", [None, "numpy", "numba", "simd"])
+def test_legacy_kernel_field_is_ignored(setup, kernel):
+    """Checkpoints written with a kernel pin still restore, pin or not."""
     network, dense = setup
-    engine = StreamingEstimator(
+    engine = _engine(network, with_alerts=False)
+    engine.ingest(dense[:300])
+    state = checkpoint_state(engine)
+    assert "kernel" not in state
+    restored = restore_engine(
+        dict(state, kernel=kernel),
         network,
         CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        window=150,
-        stride=70,
-        kernel="numpy",
     )
-    engine.ingest(dense[:300])
-    path = save_checkpoint(engine, tmp_path / "pinned.json")
-    restored = restore_engine(
-        path,
-        network,
-        estimator=CorrelationCompleteEstimator(
-            EstimatorConfig(pruning_tolerance=0.0)
-        ),
-    )
-    assert restored.kernel == "numpy"
-    # An unpinned engine round-trips as unpinned.
-    free = _engine(network, with_alerts=False)
-    free.ingest(dense[:300])
-    path = save_checkpoint(free, tmp_path / "free.json")
-    restored = restore_engine(
-        path,
-        network,
-        estimator=CorrelationCompleteEstimator(
-            EstimatorConfig(pruning_tolerance=0.0)
-        ),
-    )
-    assert restored.kernel is None
+    assert restored.next_window_start == engine.next_window_start
+    assert restored._workload == engine._workload
 
 
-def test_engine_rejects_unknown_kernel(setup):
+@pytest.fixture(scope="module")
+def document(setup):
+    """A valid checkpoint document of an alerting engine, as JSON loads it."""
+    network, dense = setup
+    engine = _engine(network)
+    engine.ingest(dense[:200])
+    return json.loads(json.dumps(checkpoint_state(engine)))
+
+
+def _hostile(state, case):
+    """One hostile variant of a valid checkpoint, and the text naming it."""
+    ring = state["ring"]
+    without_ring = {key: value for key, value in state.items() if key != "ring"}
+    return {
+        "missing ring": (without_ring, "'ring'"),
+        "ring not an object": (dict(state, ring=[1, 2]), "'ring'"),
+        "bad base64": (dict(state, ring=dict(ring, words="@@not base64@@")), "words"),
+        "num_words mismatch": (
+            dict(state, ring=dict(ring, num_words=ring["num_words"] + 1)),
+            "num_words",
+        ),
+        "non-numeric window": (dict(state, window="abc"), "'window'"),
+        "null stride": (dict(state, stride=None), "'stride'"),
+        "workload not path sets": (dict(state, workload=[[0], 5]), "'workload'"),
+        "workload outside the network": (
+            dict(state, workload=[[state["num_paths"]]]),
+            "'workload'",
+        ),
+        "counters as a list": (dict(state, counters=[1]), "'counters'"),
+        "alerts missing fields": (
+            dict(state, alerts={"peer_threshold": {"0": {}}}),
+            "'alerts'",
+        ),
+        "document is a list": ([state], "JSON object"),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing ring",
+        "ring not an object",
+        "bad base64",
+        "num_words mismatch",
+        "non-numeric window",
+        "null stride",
+        "workload not path sets",
+        "workload outside the network",
+        "counters as a list",
+        "alerts missing fields",
+        "document is a list",
+    ],
+)
+def test_restore_rejects_hostile_documents(setup, document, case):
     network, _ = setup
-    with pytest.raises(ValueError, match="unknown kernel"):
-        StreamingEstimator(network, window=16, kernel="simd")
+    hostile, needle = _hostile(document, case)
+    with pytest.raises(EstimationError, match=needle):
+        restore_engine(
+            hostile,
+            network,
+            CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
+            alert_manager=AlertManager(network, AlertPolicy(peer_high=0.5)),
+        )
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"version": 1, "window": 15', b'{"version": 1, "estimator": "\xff"}'],
+    ids=["truncated", "non-utf8"],
+)
+def test_restore_rejects_unreadable_files(setup, tmp_path, content):
+    network, _ = setup
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    with pytest.raises(EstimationError, match="not readable JSON"):
+        restore_engine(path, network)
