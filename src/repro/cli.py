@@ -912,6 +912,8 @@ def _run_monitor(args: argparse.Namespace) -> None:
 
     scale = scale_by_name(args.scale)
     intervals = args.intervals if args.intervals is not None else scale.num_intervals
+    if intervals < 1:
+        raise SystemExit(f"intervals must be >= 1, got {intervals}")
     if args.dataset is not None:
         from repro.datasets import load_dataset
         from repro.exceptions import DatasetError

@@ -230,8 +230,8 @@ def sampled_path_combinations(
     return sorted(results, key=sorted)
 
 
-#: Sampled candidate pools per observation set; weak keys so a pool (and
-#: the Network objects in its keys) never outlives its observations.
+#: Sampled candidate pools per network: one ``(usable_key, pool)`` entry per
+#: ``(count, max_size, seed)``. Weak keys, so entries go with their network.
 _SAMPLED_POOLS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -244,30 +244,35 @@ def shared_sampled_pool(
 ) -> List[FrozenSet[int]]:
     """Seed-keyed memo around :func:`sampled_path_combinations`.
 
-    Estimators with the same config draw the same candidate pool (the
-    sampler is a pure function of network, observations, bounds, and seed),
-    so the pool is computed once per observation set and shared. Unseeded
-    estimators bypass the memo. Entries live exactly as long as their
-    observation set (weak keys), so neither pools nor networks outlive it.
+    The sampler reads only the network, ``observations.num_paths`` and
+    ``observations.always_congested_paths()``, so every observation set
+    over one network with the same usable paths gets the same pool: it is
+    drawn once and shared, across estimators, scenarios and streaming
+    windows alike. Each network keeps one pool per ``(count, max_size,
+    seed)``; when the usable paths change the pool is drawn again and
+    replaces the old one, so the memo stays bounded however many
+    observation sets a long-lived network sees. Entries go with their
+    network (weak keys). Unseeded estimators bypass the memo.
     """
     if seed is None:
         return sampled_path_combinations(
             network, observations, count, max_size, as_generator(None)
         )
-    cache = _SAMPLED_POOLS.get(observations)
+    cache = _SAMPLED_POOLS.get(network)
     if cache is None:
         cache = {}
-        _SAMPLED_POOLS[observations] = cache
-    key = (network, count, max_size, seed)
-    pool = cache.get(key)
-    if pool is None:
+        _SAMPLED_POOLS[network] = cache
+    key = (count, max_size, seed)
+    usable_key = (observations.num_paths, observations.always_congested_paths())
+    entry = cache.get(key)
+    if entry is None or entry[0] != usable_key:
         pool = sampled_path_combinations(
             network, observations, count, max_size, as_generator(seed)
         )
-        cache[key] = pool
+        cache[key] = entry = (usable_key, pool)
     # Copy so an in-place mutation by one estimator cannot corrupt the
     # pool every later same-seed estimator receives.
-    return list(pool)
+    return list(entry[1])
 
 
 class ProbabilityEstimator(ABC):

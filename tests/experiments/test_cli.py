@@ -476,6 +476,8 @@ def test_campaign_bad_output_fails_fast(tmp_path):
         ("--window", "1", "window must cover at least 2 intervals"),
         ("--stride", "0", "stride must be >= 1"),
         ("--chunk", "0", "chunk_intervals must be >= 1"),
+        ("--intervals", "0", "intervals must be >= 1"),
+        ("--intervals", "-1", "intervals must be >= 1"),
     ],
 )
 def test_monitor_bad_geometry_errors(flag, value, message):

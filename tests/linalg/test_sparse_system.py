@@ -5,7 +5,9 @@ on those runs before densifying only the unique rows. The oracle below is
 a frozen copy of the solve the system used when it also had a dense row
 storage (one ``num_unknowns``-wide row per equation, duplicates grouped
 by their raw bytes). Every solution field must match it exactly — same
-floats, not approximately.
+floats, not approximately — except the residual of the Hypothesis-drawn
+systems, which may differ in its last bits (see
+``test_block_identifiability_matches_frozen_oracles``).
 
 The solve now takes rank and identifiability from per-block
 factorisations of the data rows; ``frozen_identifiability`` keeps the
@@ -20,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear, nnls
 
@@ -398,16 +400,41 @@ def _build(num_unknowns, rows, rhs, weights, prior_columns, permutation=None):
     return system
 
 
+_SIX_ONES = (np.arange(6), np.ones(6))
+
+
 @settings(max_examples=200, deadline=None)
 @given(system_spec=_systems())
+# Two identical rows: the oracle's residual reads 2.78e-17, the solve's
+# 2.08e-17 (the one row's dot product rounds differently as a 1-row and
+# as a 2-row matvec).
+@example(
+    system_spec=(
+        8,
+        [_SIX_ONES, _SIX_ONES],
+        np.array([0.0, 0.0]),
+        np.array([0.5, 0.5]),
+        [0],
+        None,
+    )
+)
 def test_block_identifiability_matches_frozen_oracles(system_spec):
     *spec, upper_bound = system_spec
     system = _build(*spec)
     solution = system.solve(upper_bound=upper_bound)
     expected = dense_solve_of(system, upper_bound=upper_bound)
-    # Values and residual: bit-identical to the frozen dense solve; rank
-    # and identifiability: equal to its frozen one-factorisation step.
-    _assert_solutions_identical(expected, solution)
+    # Values: bit-identical to the frozen dense solve; rank and
+    # identifiability: equal to its frozen one-factorisation step.
+    assert np.array_equal(expected.values, solution.values)
+    assert np.array_equal(expected.identifiable, solution.identifiable)
+    assert expected.rank == solution.rank
+    # Residual: to rounding. The oracle takes one matvec over every data
+    # row, the solve one over the unique rows and scatters it back, and a
+    # row's dot product can round differently in products of other
+    # heights, so duplicate rows may move the last bits.
+    assert abs(solution.residual - expected.residual) <= (
+        1e-15 + 1e-12 * abs(expected.residual)
+    )
     num_unknowns, rows = spec[:2]
     data = _dense(rows, num_unknowns)
     data_unique = data[_group_duplicate_rows(data)[0]]
