@@ -1,8 +1,8 @@
 """Experiment harness regenerating every table and figure of the paper.
 
 Each driver returns plain dataclasses of rows/series (the same quantities
-the paper plots) and is invoked both by the benchmark suite
-(``benchmarks/``) and by the command-line interface (``repro-tomography``).
+the paper plots) and is invoked by the command-line interface
+(``repro-tomography``) and by the tests.
 """
 
 from repro.experiments.config import ExperimentScale, SCALES, scale_by_name

@@ -4,7 +4,7 @@ The paper's instances (Brite ~1000 links, Sparse ~2000 links, 1500 paths,
 1000 intervals) take a while in pure Python; the ``small`` preset keeps every
 structural property (dense vs sparse, correlated substrate) at a size where
 the full reproduction runs in minutes, and ``paper`` approaches the paper's
-sizes. Both are reachable from the CLI and the benchmarks.
+sizes. Both are reachable from the CLI.
 """
 
 from __future__ import annotations

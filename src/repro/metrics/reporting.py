@@ -1,7 +1,7 @@
-"""Plain-text table rendering for experiment reports and benchmarks.
+"""Plain-text table rendering for experiment reports.
 
-The benchmark harness prints the same rows/series the paper's figures show;
-this module provides the shared fixed-width formatting.
+The experiment drivers print the same rows/series the paper's figures
+show; this module provides the shared fixed-width formatting.
 """
 
 from __future__ import annotations

@@ -56,7 +56,6 @@ from repro.obs.analyze import (
     load_trace,
     render_critical_paths,
     render_diff,
-    render_regressions,
     render_shard_report,
     shard_report,
     top_regressions,
@@ -153,7 +152,6 @@ __all__ = [
     "render_diff",
     "render_json",
     "render_prometheus",
-    "render_regressions",
     "render_shard_report",
     "render_summary",
     "render_tree",

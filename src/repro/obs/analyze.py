@@ -15,9 +15,7 @@ answers the three operational questions a slow or regressed run raises:
   the slowest trial — and names the straggler that bounded the sweep.
 * **What regressed vs the last run?** :func:`diff_aggregates` aligns two
   per-span aggregates by name and reports self-time deltas with counts;
-  :func:`top_regressions` ranks the growth. ``benchmarks/compare_baseline.py``
-  re-uses exactly these to name regressed spans on a gate failure, so
-  ``obs diff`` and the benchmark gate agree on what "regressed" means.
+  :func:`top_regressions` ranks the growth; ``obs diff`` renders both.
 
 Analysis is post-hoc by design: nothing in this module runs on a hot
 path or touches the live registry.
@@ -335,8 +333,8 @@ def top_regressions(
     """Spans whose self time grew, largest absolute growth first.
 
     ``known_only`` drops spans absent from the baseline side (there is
-    nothing to regress against) — the semantics the benchmark gate
-    wants; ``obs diff`` passes ``False`` so brand-new spans still rank.
+    nothing to regress against); ``obs diff`` passes ``False`` so
+    brand-new spans still rank.
     """
     rows = [
         delta
@@ -397,17 +395,6 @@ def render_diff(
     return "\n".join(lines) + "\n"
 
 
-def render_regressions(deltas: Sequence[SpanDelta]) -> str:
-    """The compact regression list ``compare_baseline.py`` prints."""
-    lines = ["top regressed spans (self-time vs committed aggregate):"]
-    for delta in deltas:
-        lines.append(
-            f"  {delta.name}: {delta.base_self_s:.3f}s -> "
-            f"{delta.cur_self_s:.3f}s (+{delta.delta_self_s:.3f}s)"
-        )
-    return "\n".join(lines)
-
-
 __all__ = [
     "CriticalPath",
     "CriticalStep",
@@ -420,7 +407,6 @@ __all__ = [
     "load_trace",
     "render_critical_paths",
     "render_diff",
-    "render_regressions",
     "render_shard_report",
     "shard_report",
     "top_regressions",

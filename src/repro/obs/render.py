@@ -3,7 +3,7 @@
 Consumes the ``telemetry.jsonl`` files written by :mod:`repro.obs.span`
 and powers ``repro-tomography obs spans`` (``--tree`` flame-style view,
 ``--validate`` schema check) plus the per-span aggregates that
-``benchmarks/compare_baseline.py`` uses to name regressed stages.
+``obs diff`` aligns to name regressed stages.
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def render_tree(events: Sequence[dict]) -> str:
 def aggregate_spans(events: Sequence[dict]) -> Dict[str, Dict[str, float]]:
     """Per-name totals: ``{name: {count, total_s, self_s}}``.
 
-    The compact form committed into ``BENCH_baseline.json`` and diffed
-    by ``compare_baseline.py`` to name the spans behind a regression.
+    The compact form ``obs diff`` aligns to name the spans behind a
+    regression, and the performance ledger reports per layer.
     """
     build_order = build_tree(events)
 

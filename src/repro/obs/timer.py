@@ -1,8 +1,8 @@
 """Wall-clock timer.
 
 ``Timer`` is the telemetry-free primitive: two ``perf_counter`` calls
-and an ``elapsed`` attribute, exactly what the experiment harness and
-benchmarks need. Code that wants the measurement *and* telemetry uses
+and an ``elapsed`` attribute, exactly what the experiment harness
+needs. Code that wants the measurement *and* telemetry uses
 :func:`repro.obs.span` instead — a span is a ``Timer`` that also knows
 its name, parents, and sink.
 """

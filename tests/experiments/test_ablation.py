@@ -29,6 +29,14 @@ def test_all_cells_present(ablation_result):
             assert 0.0 <= value <= 1.0
 
 
+def test_full_config_no_worse_than_any_variant_on_sparse(ablation_result):
+    """The refinements matter on Sparse: none of them may cost accuracy."""
+    full = ablation_result.errors[("full", "sparse")]
+    for (label, topology), value in ablation_result.errors.items():
+        if topology == "sparse":
+            assert full <= value + 0.05, f"full config worse than {label}"
+
+
 def test_table_renders(ablation_result):
     table = ablation_result.to_table()
     assert "full" in table

@@ -2,7 +2,7 @@
 
 These guard the wiring (argument parsing, driver dispatch, table
 rendering) so a CLI regression fails tier-1; the numbers themselves are
-covered by the driver tests and the benchmark harness.
+covered by the driver tests.
 """
 
 from __future__ import annotations

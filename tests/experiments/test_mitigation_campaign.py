@@ -87,6 +87,10 @@ def test_sweep_reduces_residual_congestion_vs_noop():
     )
     assert result.scenarios() == ["cascade", "gravity", "random"]
     for scenario in result.scenarios():
+        # The control arm reproduces the pre state exactly in every family.
+        control = result.rows[("brite", scenario, "noop", "Independence")]
+        assert control["reduction"] == 0.0
+        assert control["paths_disturbed"] == 0
         noop = result.residual("brite", scenario, "noop", "Independence")
         best = min(
             result.residual("brite", scenario, policy, "Independence")

@@ -1,11 +1,11 @@
 """The scaling-topology study: spec grid, trial cells, and the campaign.
 
-Runs the real trial function at a deliberately small node count — the
-full 1k/10k sweep lives in ``benchmarks/`` and CI's scale-smoke job —
-and pins what the campaign reports: one cell per size with non-empty
-structures and equations, and the outcome summary the CI job reads. The
-cells' route and estimate digests are frozen in
-``tests/probability/test_algorithm1_digests.py``.
+Runs the real trial function at a deliberately small node count — CI's
+scale-smoke job runs the 1k/2k sweep and the performance ledger's
+``aslevel-10k`` workload the 10k-node path — and pins what the campaign
+reports: one cell per size with non-empty structures and equations, and
+the outcome summary the CI job reads. The cells' route and estimate
+digests are frozen in ``tests/probability/test_algorithm1_digests.py``.
 """
 
 from __future__ import annotations

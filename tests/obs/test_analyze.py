@@ -15,7 +15,6 @@ from repro.obs import (
     read_events,
     render_critical_paths,
     render_diff,
-    render_regressions,
     render_shard_report,
     shard_report,
     top_regressions,
@@ -176,15 +175,21 @@ def test_diff_aggregates_covers_both_sides():
 
 
 def test_top_regressions_known_only_drops_new_spans():
-    base = {"a": {"count": 1, "total_s": 1.0, "self_s": 1.0}}
+    one = {"count": 1, "total_s": 1.0, "self_s": 1.0}
+    base = {name: dict(one) for name in "abc"}
     cur = {
         "a": {"count": 1, "total_s": 2.0, "self_s": 1.4},
+        "b": {"count": 1, "total_s": 2.0, "self_s": 3.0},
+        "c": {"count": 1, "total_s": 0.5, "self_s": 0.5},  # improved
         "new": {"count": 1, "total_s": 9.0, "self_s": 9.0},
     }
     deltas = diff_aggregates(base, cur)
-    assert [d.name for d in top_regressions(deltas)] == ["a"]
+    ranked = top_regressions(deltas)
+    assert [d.name for d in ranked] == ["b", "a"]
+    assert ranked[0].delta_self_s == 2.0
+    assert [d.name for d in top_regressions(deltas, limit=1)] == ["b"]
     ranked = top_regressions(deltas, known_only=False)
-    assert [d.name for d in ranked] == ["new", "a"]
+    assert [d.name for d in ranked] == ["new", "b", "a"]
 
 
 def test_diff_traces_and_render(tmp_path):
@@ -216,19 +221,9 @@ def test_render_diff_handles_no_growth():
     assert render_diff([]) == "(no spans on either side)\n"
 
 
-def test_render_regressions_compact_format():
-    deltas = diff_aggregates(
-        {"a": {"count": 1, "total_s": 1.0, "self_s": 1.0}},
-        {"a": {"count": 1, "total_s": 2.0, "self_s": 2.5}},
-    )
-    text = render_regressions(top_regressions(deltas))
-    assert text.startswith("top regressed spans")
-    assert "a: 1.000s -> 2.500s (+1.500s)" in text
-
-
 def test_aggregate_then_diff_round_trip(tmp_path):
-    # The aggregation the benchmark gate commits and the diff consume
-    # the same shapes end to end.
+    # The aggregation the ledger reports and the diff consume the same
+    # shapes end to end.
     events = [
         _span("root", "1:1", 1.0),
         _span("child", "1:2", 0.4, parent="1:1", t0=0.1),

@@ -11,17 +11,23 @@ The load-bearing contracts:
   concurrent fits share one ``SharedFitWorkspace`` in threads
   (context-local scopes, not global snapshot deltas);
 * ``FitReport.stage_seconds`` and the trace's stage spans are the same
-  measurement (reconcile within 1ms).
+  measurement (reconcile within 1ms);
+* no telemetry mode, live serving included, changes a result.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from urllib.request import urlopen
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.experiments.config import TINY
+from repro.experiments.figure4 import run_figure4
+from repro.obs.serve import TelemetryServer
 from repro.probability.base import EstimatorConfig
 from repro.probability.correlation_complete import CorrelationCompleteEstimator
 from repro.probability.pipeline import SharedFitWorkspace
@@ -239,3 +245,51 @@ def test_stage_seconds_reconcile_with_trace(small_brite, experiment, tmp_path):
         stage for (parent, stage) in durations if parent == fit_event["id"]
     }
     assert traced == set(report.stage_seconds)
+
+
+# ----------------------------------------------------------------------
+# Telemetry never changes a result
+# ----------------------------------------------------------------------
+def _assert_bit_identical(reference, other):
+    """Two Figure4Results carry exactly the same bits, row by row."""
+    assert set(reference.rows) == set(other.rows)
+    for key, ref in reference.rows.items():
+        got = other.rows[key]
+        assert ref.mean_absolute_error == got.mean_absolute_error, key
+        assert np.array_equal(ref.errors, got.errors), key
+    assert reference.subset_rows == other.subset_rows
+
+
+def test_figure4_bit_identical_under_every_telemetry_mode(tmp_path):
+    with obs.use_mode("off"):
+        reference = run_figure4(TINY, seed=2, workers=1)
+
+    with obs.use_mode("metrics"), obs.capture_metrics() as captured:
+        metered = run_figure4(TINY, seed=2, workers=1)
+    counters = {name: value for name, _lv, value in captured.snapshot()["counters"]}
+    assert counters["repro_frequency_cache_hits_total"] > 0
+    assert counters["repro_frequency_cache_misses_total"] > 0
+
+    path = tmp_path / "t.jsonl"
+    with obs.use_mode("trace", path):
+        traced = run_figure4(TINY, seed=2, workers=1)
+        obs.flush()
+    assert obs.validate_events(obs.load_events(path)) == []
+
+    with obs.use_mode("metrics"), obs.capture_metrics() as captured:
+        server = TelemetryServer(registry_fn=lambda: captured).start()
+        try:
+            served = run_figure4(TINY, seed=2, workers=1)
+            with urlopen(f"{server.url}/metrics", timeout=5.0) as response:
+                payload = response.read().decode("utf-8")
+        finally:
+            server.stop()
+    samples = dict(
+        line.rsplit(" ", 1)
+        for line in payload.splitlines()
+        if line and not line.startswith("#")
+    )
+    assert float(samples["repro_process_resident_memory_bytes"]) > 0
+
+    for other in (metered, traced, served):
+        _assert_bit_identical(reference, other)

@@ -106,6 +106,15 @@ def test_aggregate_spans_sums_by_name():
     totals = obs.aggregate_spans(_forest())
     assert totals["root"] == {"count": 1, "total_s": 1.0, "self_s": 0.5}
     assert totals["orphan"]["total_s"] == pytest.approx(0.4)
+    # Concurrent children can sum past their parent; self time stays >= 0.
+    overlapping = obs.aggregate_spans(
+        [
+            _span("root", "1:1", 1.0),
+            _span("child", "1:2", 0.8, parent="1:1"),
+            _span("child", "1:3", 0.9, parent="1:1"),
+        ]
+    )
+    assert overlapping["root"]["self_s"] == 0.0
 
 
 def test_stage_durations_keyed_by_fit_parent():

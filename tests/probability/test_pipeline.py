@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import EstimationError
+from repro.experiments.config import TINY
 from repro.linalg.system import EquationSystem, SystemWorkspace
 from repro.model.status import ObservationMatrix
 from repro.probability.base import EstimatorConfig
@@ -19,8 +20,11 @@ from repro.probability.pipeline import (
     EstimationPipeline,
     SharedFitWorkspace,
 )
+from repro.probability.registry import make_estimator, paper_estimator_names
 from repro.simulation.experiment import run_experiment
+from repro.simulation.probing import PathProber
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
+from repro.topology.brite import generate_brite_network
 
 
 @pytest.fixture(scope="module")
@@ -201,16 +205,53 @@ def test_stale_system_detects_recycled_workspace():
         stale.matrix
 
 
-def test_workspace_solves_match_blockwise_solves(small_brite, experiment):
-    """A fit through a system arena equals the block-list fit bitwise."""
-    config = EstimatorConfig(seed=3)
-    cold = CorrelationCompleteEstimator(config).fit(
-        small_brite, experiment.observations
+@pytest.fixture(scope="module")
+def sweep_cell_fits():
+    """A Fig. 4 sweep cell's three paper fits: cold, then through one workspace.
+
+    The cell is the tiny Brite network under non-stationary No
+    Independence congestion, measured by the packet prober — the trial
+    every sweep driver runs per (topology, scenario, seed).
+    """
+    network = generate_brite_network(TINY.brite, random_state=2)
+    scenario = build_scenario(
+        network,
+        ScenarioConfig(kind=ScenarioKind.NO_INDEPENDENCE, non_stationary=True),
+        random_state=2,
     )
-    workspace = SharedFitWorkspace(experiment.observations)
-    warm = CorrelationCompleteEstimator(config).fit(
-        small_brite, experiment.observations, workspace=workspace
-    )
-    assert np.array_equal(cold.link_marginals(), warm.link_marginals())
-    assert cold.report.rank == warm.report.rank
-    assert cold.report.residual == warm.report.residual
+    observations = run_experiment(
+        scenario,
+        TINY.num_intervals,
+        prober=PathProber(num_packets=TINY.num_packets),
+        random_state=3,
+    ).observations
+    workspace = SharedFitWorkspace(observations)
+    cold, warm = {}, {}
+    for name in paper_estimator_names():
+        estimator = make_estimator(name, EstimatorConfig(seed=2))
+        cold[name] = estimator.fit(network, observations)
+    for name in paper_estimator_names():
+        estimator = make_estimator(name, EstimatorConfig(seed=2))
+        warm[name] = estimator.fit(network, observations, workspace=workspace)
+    return cold, warm
+
+
+def test_workspace_solves_match_blockwise_solves(sweep_cell_fits):
+    """Every paper estimator fitted through a shared workspace equals its
+    cold block-list fit bitwise."""
+    cold, warm = sweep_cell_fits
+    for name in paper_estimator_names():
+        assert np.array_equal(
+            cold[name].link_marginals(), warm[name].link_marginals()
+        ), name
+        assert cold[name]._good == warm[name]._good, name
+        assert cold[name].report.rank == warm[name].report.rank, name
+        assert cold[name].report.residual == warm[name].report.residual, name
+
+
+def test_shared_workspace_trial_saves_frequency_evaluations(sweep_cell_fits):
+    """One warm cache serves the whole trial: fewer kernel evaluations."""
+    cold, warm = sweep_cell_fits
+    cold_misses = sum(m.report.frequency_cache_misses for m in cold.values())
+    warm_misses = sum(m.report.frequency_cache_misses for m in warm.values())
+    assert warm_misses < cold_misses

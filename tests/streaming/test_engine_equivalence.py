@@ -141,6 +141,10 @@ def test_refits_are_incremental_not_full_horizon(network, horizon):
     for start, stop in engine.timeline.window_spans():
         assert stop - start == engine.window
     assert engine.refits == len(engine.timeline.windows)
+    # One fit or skip per completed stride window, no more and no fewer.
+    expected_windows = (horizon.shape[0] - engine.window) // engine.stride + 1
+    assert engine.refits + engine.skipped_windows == expected_windows
+    assert engine.refits > 0
 
 
 def test_unusable_windows_skipped_like_offline(network):
