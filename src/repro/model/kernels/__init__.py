@@ -1,13 +1,13 @@
-"""The packed backend's frequency kernel, behind a small registry.
+"""The observation store's frequency kernel, behind a small registry.
 
 Every estimator in this package bottoms out in two word-level loops over
 the bit-packed observation store (:mod:`repro.model.packed`):
 
 * the **union popcount** — gather a path set's uint64 rows, OR them, and
   popcount the union (the batched Eq. 1 numerator,
-  ``PackedBackend.all_good_counts``);
+  ``ObservationMatrix.all_good_frequencies``);
 * the **row popcount** — per-path congested-interval counts
-  (``PackedBackend.congestion_counts``).
+  (``ObservationMatrix.path_congestion_frequency``).
 
 :class:`~repro.model.kernels.numpy_kernel.NumpyKernel` serves both
 (chunked gather + ``np.bitwise_or.reduce`` + ``np.bitwise_count``). The
@@ -29,12 +29,12 @@ from repro.model.kernels.numpy_kernel import NumpyKernel
 #: Registered kernels by name.
 KERNELS: Dict[str, FrequencyKernel] = {"numpy": NumpyKernel()}
 
-#: Name of the kernel every packed-backend query dispatches to.
+#: Name of the kernel every observation query dispatches to.
 _selected = "numpy"
 
 
 def active_kernel() -> FrequencyKernel:
-    """The kernel every packed-backend query dispatches to right now."""
+    """The kernel every observation query dispatches to right now."""
     return KERNELS[_selected]
 
 

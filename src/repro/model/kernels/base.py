@@ -15,7 +15,7 @@ import numpy as np
 
 
 class FrequencyKernel:
-    """Word-level popcount loops behind the packed observation backend.
+    """Word-level popcount loops behind :class:`ObservationMatrix`.
 
     ``name`` is the kernel's key in :data:`repro.model.kernels.KERNELS`.
     """
@@ -51,10 +51,10 @@ class FrequencyKernel:
             ``(num_sets,)`` int64 true member counts (``0`` for an empty
             set, whose union popcounts to zero).
         scratch:
-            Backend-owned dict for kernel-managed caches tied to this word
-            store (the numpy kernel keeps its dummy-padded copy of
+            Observation-owned dict for kernel-managed caches tied to this
+            word store (the numpy kernel keeps its dummy-padded copy of
             ``words`` here so repeated batches pay the copy once). Cleared
-            by the backend whenever the store crosses a pickle boundary.
+            whenever the observations cross a pickle boundary.
 
         Returns
         -------

@@ -55,7 +55,7 @@ class NumpyKernel(FrequencyKernel):
         # The padded copy appends one all-zero (all-good) dummy row the
         # index matrix's padding points at — a no-op under OR — so the
         # whole ragged batch gathers as one rectangular cube. Cached in
-        # the backend's scratch dict across batches.
+        # the observations' scratch dict across batches.
         padded = scratch.get("words_padded")
         if padded is None:
             padded = np.concatenate(

@@ -327,21 +327,13 @@ def diff_aggregates(base: SpanAggregate, current: SpanAggregate) -> List[SpanDel
     return deltas
 
 
-def top_regressions(
-    deltas: Sequence[SpanDelta], limit: int = 3, known_only: bool = True
-) -> List[SpanDelta]:
+def top_regressions(deltas: Sequence[SpanDelta], limit: int = 3) -> List[SpanDelta]:
     """Spans whose self time grew, largest absolute growth first.
 
-    ``known_only`` drops spans absent from the baseline side (there is
-    nothing to regress against); ``obs diff`` passes ``False`` so
-    brand-new spans still rank.
+    Spans absent from the baseline side rank too: their whole self time
+    is growth.
     """
-    rows = [
-        delta
-        for delta in deltas
-        if delta.delta_self_s > 0.0
-        and (not known_only or delta.base_count > 0)
-    ]
+    rows = [delta for delta in deltas if delta.delta_self_s > 0.0]
     rows.sort(key=lambda delta: (-delta.delta_self_s, delta.name))
     return rows[:limit]
 
@@ -380,7 +372,7 @@ def render_diff(
         )
     if len(deltas) > limit:
         lines.append(f"... {len(deltas) - limit} more span name(s)")
-    regressed = top_regressions(deltas, limit=regressions, known_only=False)
+    regressed = top_regressions(deltas, limit=regressions)
     if regressed:
         lines.append("")
         lines.append("top regressions (self-time growth):")

@@ -161,7 +161,7 @@ class FitReport:
 class FrequencyCache:
     """Batch-aware, bounded memo over empirical all-good frequencies.
 
-    A thin facade over the observation backend's batched Eq. 1 kernel
+    A thin facade over the observations' batched Eq. 1 kernel
     (:meth:`repro.model.status.ObservationMatrix.all_good_frequencies`):
     single queries memoise through ``__call__``, and :meth:`query_many`
     evaluates a whole batch of path sets in one packed-kernel invocation,

@@ -169,8 +169,8 @@ class WindowedEstimator:
         start = 0
         while start + self.window <= total:
             stop = start + self.window
-            # Packed backends hand out the window as a word slice (plus a
-            # tail mask) — no re-packing and no dense matrix per window.
+            # The window is a word slice (plus a tail mask) — no
+            # re-packing and no dense matrix per window.
             chunk = observations.slice_intervals(start, stop)
             try:
                 model = self.estimator.fit(network, chunk)

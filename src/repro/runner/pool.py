@@ -17,7 +17,7 @@ Three properties the experiment drivers rely on:
   handed a shard-local ``cache`` dict, so expensive intermediates (a
   simulated experiment reused by three estimators) are built once per
   shard; packed observation matrices cross process boundaries only in
-  their uint64 word form (:class:`repro.model.packed.PackedBackend`
+  their uint64 word form (:class:`repro.model.status.ObservationMatrix`
   pickles as its word array).
 * **Fault surfacing** — a trial that raises aborts the sweep with a
   :class:`~repro.runner.spec.TrialError` naming the failing sweep cell and

@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.exceptions import ScenarioError
-from repro.model.packed import PackedBackend, pack_bool_matrix
+from repro.model.packed import pack_bool_matrix
 from repro.model.status import ObservationMatrix
 from repro.simulation.congestion import GroundTruth
 from repro.simulation.loss import LossModel
@@ -53,18 +53,16 @@ def _packed_observation(blocks, num_paths: int) -> ObservationMatrix:
         total += block.shape[0]
     if not words:
         return ObservationMatrix(np.zeros((0, num_paths), dtype=bool))
-    return ObservationMatrix.from_backend(
-        PackedBackend(np.concatenate(words, axis=1), total)
-    )
+    return ObservationMatrix.from_words(np.concatenate(words, axis=1), total)
 
 
 def oracle_path_status(network: Network, link_states: np.ndarray) -> ObservationMatrix:
     """Perfect observations: path congested iff some traversed link is.
 
     This is Separability (Assumption 1) applied with a perfect monitor; it
-    bypasses packet sampling entirely. Observations are emitted directly
-    into the packed backend, chunk by chunk, so a long horizon never holds
-    the full dense (T, paths) matrix in memory.
+    bypasses packet sampling entirely. Observations are packed into words
+    chunk by chunk, so a long horizon never holds the full dense
+    (T, paths) matrix in memory.
     """
     link_states = np.asarray(link_states, dtype=bool)
     blocks = (

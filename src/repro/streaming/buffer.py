@@ -19,9 +19,9 @@ Design points:
   referencing the old, now-immutable storage instead of being silently
   rewritten.
 * **Zero-copy windows** — a word-aligned window (both ends multiples of 64
-  intervals) is served as a column *view* of the word store wrapped in a
-  :class:`~repro.model.packed.PackedBackend`; unaligned windows pay a copy
-  of their own span only, via the same slicing rules as
+  intervals) is an :class:`ObservationMatrix` adopting a column *view* of
+  the word store (:meth:`ObservationMatrix.from_words`); unaligned windows
+  pay a copy of their own span only, via
   :meth:`ObservationMatrix.slice_intervals`. Either way the result is an
   immutable snapshot — a window never shares the partially-filled tail
   word the writer is still filling.
@@ -37,7 +37,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.exceptions import EstimationError
-from repro.model.packed import WORD_BITS, PackedBackend, pack_bool_matrix
+from repro.model.packed import WORD_BITS, pack_bool_matrix
 from repro.model.status import ObservationMatrix
 
 
@@ -180,7 +180,7 @@ class PackedRingBuffer:
         allocates fresh storage, so they stay valid forever), and windows
         with a partially-filled boundary word copy their own span only —
         never sharing the live tail word the writer still ORs bits into,
-        which would silently corrupt the backend's zero-padding invariant
+        which would silently corrupt the words' zero-padding invariant
         on the next append.
 
         Raises
@@ -203,12 +203,13 @@ class PackedRingBuffer:
         if rel_start % WORD_BITS == 0 and rel_stop % WORD_BITS == 0:
             first = rel_start // WORD_BITS
             last = rel_stop // WORD_BITS
-            backend = PackedBackend(self._words[:, first:last], stop - start)
-            return ObservationMatrix.from_backend(backend)
-        whole = PackedBackend(self._words[:, :used_words], self._end - self._origin)
-        return ObservationMatrix.from_backend(
-            whole.slice_intervals(rel_start, rel_stop)
+            return ObservationMatrix.from_words(
+                self._words[:, first:last], stop - start
+            )
+        whole = ObservationMatrix.from_words(
+            self._words[:, :used_words], self._end - self._origin
         )
+        return whole.slice_intervals(rel_start, rel_stop)
 
     def view(self) -> ObservationMatrix:
         """The full retained horizon as observations (zero-copy)."""

@@ -130,7 +130,7 @@ def write_ndjson_trace(
     while they stream.
     """
     if isinstance(observations, ObservationMatrix):
-        # Chunked replay through the backend's own slicing: a long packed
+        # Chunked replay through the words' own slicing: a long packed
         # campaign is written without materialising the dense horizon.
         num_paths = observations.num_paths
         blocks: Iterable[np.ndarray] = MatrixSource(
@@ -168,11 +168,19 @@ def write_ndjson_trace(
     return written
 
 
+def _is_count(value) -> bool:
+    """A JSON integer ``>= 0`` (``true``/``false`` are not integers here)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 class NDJSONTraceSource(ObservationSource):
     """Replay a recorded NDJSON campaign in fixed-size chunks.
 
     The file is read lazily line by line, so arbitrarily long recorded
-    campaigns replay in bounded memory.
+    campaigns replay in bounded memory. A trace is untrusted input: any
+    malformed line (bad JSON or UTF-8, a non-object record, a bad header,
+    a congested entry that is not a path index) raises
+    :class:`~repro.exceptions.ScenarioError` naming ``path:line``.
     """
 
     def __init__(self, path: Union[str, Path], chunk_intervals: int = 64) -> None:
@@ -180,13 +188,23 @@ class NDJSONTraceSource(ObservationSource):
             raise ScenarioError("chunk_intervals must be >= 1")
         self.path = Path(path)
         self.chunk_intervals = chunk_intervals
-        with open(self.path, "r", encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-        if header.get("type") != "header" or "num_paths" not in header:
+        with open(self.path, "rb") as handle:
+            header = self._record(handle.readline(), 1)
+        if header.get("type") != "header" or not _is_count(header.get("num_paths")):
             raise ScenarioError(
-                f"{self.path}: first NDJSON line must be the trace header"
+                f"{self.path}:1: first NDJSON line must be the trace header"
             )
-        self._num_paths = int(header["num_paths"])
+        self._num_paths = header["num_paths"]
+
+    def _record(self, line: bytes, line_number: int) -> dict:
+        """Parse one line into a JSON object, or fail naming its place."""
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ScenarioError(f"{self.path}:{line_number}: {exc}") from None
+        if not isinstance(record, dict):
+            raise ScenarioError(f"{self.path}:{line_number}: expected a JSON object")
+        return record
 
     @property
     def num_paths(self) -> int:
@@ -195,22 +213,23 @@ class NDJSONTraceSource(ObservationSource):
     def chunks(self) -> Iterator[np.ndarray]:
         buffer = np.zeros((self.chunk_intervals, self._num_paths), dtype=bool)
         filled = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with open(self.path, "rb") as handle:
             handle.readline()  # header, validated in __init__
             for line_number, line in enumerate(handle, start=2):
                 if not line.strip():
                     continue
-                record = json.loads(line)
+                record = self._record(line, line_number)
                 if record.get("type") != "round":
                     raise ScenarioError(
                         f"{self.path}:{line_number}: expected a round record"
                     )
                 congested = record.get("congested", [])
-                if congested and (
-                    min(congested) < 0 or max(congested) >= self._num_paths
+                if not isinstance(congested, list) or not all(
+                    _is_count(index) and index < self._num_paths for index in congested
                 ):
                     raise ScenarioError(
-                        f"{self.path}:{line_number}: path index out of range"
+                        f"{self.path}:{line_number}: congested must list path "
+                        f"indices in [0, {self._num_paths})"
                     )
                 buffer[filled] = False
                 buffer[filled, congested] = True

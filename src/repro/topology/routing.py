@@ -8,7 +8,6 @@ into the AS-level network the tomography algorithms observe.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -75,36 +74,28 @@ class RouteOracle:
     routes identical to :func:`shortest_route` / :func:`load_balanced_route`
     call-for-call.
 
-    ``max_entries`` bounds each memo dict with least-recently-used
-    eviction, so internet-scale sweeps (millions of probed pairs) cannot
-    grow the oracle without bound; ``None`` keeps the historical unbounded
-    behaviour. Cached-vs-evicted answers are identical, only recomputed.
+    The memos are unbounded: the oracle serves one topology's probing
+    campaign (internet-scale graphs route through the CSR
+    :class:`CompactGraph` instead).
     """
 
-    def __init__(self, graph: nx.Graph, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise TopologyError("RouteOracle: max_entries must be >= 1 or None")
+    def __init__(self, graph: nx.Graph) -> None:
         self.graph = graph
-        self.max_entries = max_entries
-        self._shortest: OrderedDict = OrderedDict()
-        self._ecmp: OrderedDict = OrderedDict()
-        self._predecessors: OrderedDict = OrderedDict()
+        self._shortest: dict = {}
+        self._ecmp: dict = {}
+        self._predecessors: dict = {}
         self.hits = 0
         self.misses = 0
 
-    def _touch(self, memo: OrderedDict, key) -> None:
-        """Record a hit: refresh LRU order and the exported gauges."""
+    def _hit(self) -> None:
+        """Record a memo hit."""
         self.hits += 1
-        if self.max_entries is not None:
-            memo.move_to_end(key)
         self._export()
 
-    def _store(self, memo: OrderedDict, key, value) -> None:
-        """Record a miss: insert and evict the least recently used entry."""
+    def _store(self, memo: dict, key, value) -> None:
+        """Record a miss and memoise its answer."""
         self.misses += 1
         memo[key] = value
-        if self.max_entries is not None and len(memo) > self.max_entries:
-            memo.popitem(last=False)
         self._export()
 
     def _export(self) -> None:
@@ -127,7 +118,7 @@ class RouteOracle:
             route = shortest_route(self.graph, source, target)
             self._store(self._shortest, key, route)
             return route
-        self._touch(self._shortest, key)
+        self._hit()
         return route
 
     def _equal_cost_routes(
@@ -139,7 +130,7 @@ class RouteOracle:
         except KeyError:
             pass
         else:
-            self._touch(self._ecmp, key)
+            self._hit()
             return routes
         try:
             # Private networkx helper: exactly the enumeration
@@ -168,13 +159,6 @@ class RouteOracle:
                 except nx.NodeNotFound:
                     pred = {}
                 self._predecessors[source] = pred
-                if (
-                    self.max_entries is not None
-                    and len(self._predecessors) > self.max_entries
-                ):
-                    self._predecessors.popitem(last=False)
-            elif self.max_entries is not None:
-                self._predecessors.move_to_end(source)
             if target in pred:
                 routes = [
                     tuple(p)

@@ -6,9 +6,10 @@ Two families of guarantees:
   kernel is scoped in with :func:`use_kernel`, which restores the previous
   selection on exit; unknown names fail fast.
 * **Parity** — every registered kernel is bit-identical to the dense
-  reference backend on a property sweep over window offsets, window
-  lengths, and path-set widths, including unaligned ``slice_intervals``
-  windows and the strided word views served by the streaming ring buffer.
+  reference (:mod:`tests.dense_observations`) on a property sweep over
+  window offsets, window lengths, and path-set widths, including unaligned
+  ``slice_intervals`` windows and the strided word views served by the
+  streaming ring buffer.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.model.kernels.numpy_kernel import (
 )
 from repro.model.status import ObservationMatrix
 from repro.streaming.buffer import PackedRingBuffer
+from tests import dense_observations as dense
 
 
 class _Recording(NumpyKernel):
@@ -61,11 +63,11 @@ class TestDispatch:
         assert active_kernel() is KERNELS["numpy"]
 
     def test_use_kernel_scopes_and_restores(self):
-        """A registered kernel serves the backend's queries only in scope."""
+        """A registered kernel serves the observation queries only in scope."""
         kernel = _Recording()
         KERNELS[kernel.name] = kernel
         try:
-            obs = ObservationMatrix(np.eye(70, 4, dtype=bool), backend="packed")
+            obs = ObservationMatrix(np.eye(70, 4, dtype=bool))
             with use_kernel(kernel.name) as scoped:
                 assert scoped is kernel
                 assert active_kernel() is kernel
@@ -104,26 +106,13 @@ class TestGatherChunk:
         )
 
 
-def _reference_union_popcounts(matrix, path_sets):
-    """Dense OR/any reference for congested-in-any counts."""
-    counts = []
-    for path_set in path_sets:
-        members = list(path_set)
-        if not members:
-            counts.append(0)
-        else:
-            counts.append(int(matrix[:, members].any(axis=1).sum()))
-    return np.array(counts, dtype=np.int64)
-
-
 @pytest.mark.parametrize("name", list(KERNELS))
 class TestKernelParity:
     def test_union_popcounts_unit_contract(self, name):
         """Raw kernel call vs dense reference, dummy padding and length 0."""
         rng = np.random.default_rng(31)
         matrix = rng.random((3 * 64 + 17, 19)) < 0.35
-        obs = ObservationMatrix(matrix, backend="packed")
-        words = obs._backend.words
+        words = ObservationMatrix(matrix).words
         num_paths = matrix.shape[1]
         path_sets = [[], [0], [num_paths - 1], list(range(num_paths))] + [
             sorted(rng.choice(num_paths, size=k, replace=False).tolist())
@@ -138,21 +127,21 @@ class TestKernelParity:
             lengths[i] = len(members)
         counts = KERNELS[name].union_popcounts(words, indices, lengths, {})
         np.testing.assert_array_equal(
-            counts, _reference_union_popcounts(matrix, path_sets)
+            counts, dense.congested_any_counts(matrix, path_sets)
         )
 
     def test_congestion_counts_match_dense(self, name):
         rng = np.random.default_rng(37)
         matrix = rng.random((5 * 64 + 1, 11)) < 0.5
-        obs = ObservationMatrix(matrix, backend="packed")
+        obs = ObservationMatrix(matrix)
         with use_kernel(name):
             np.testing.assert_array_equal(
-                obs._backend.congestion_counts(),
-                matrix.sum(axis=0, dtype=np.int64),
+                obs.path_congestion_frequency(),
+                dense.congestion_frequencies(matrix),
             )
 
     def test_window_offset_length_widest_sweep(self, name):
-        """Packed == dense over a (offset, length, widest) property grid.
+        """Packed == dense reference over an (offset, length, widest) grid.
 
         Offsets straddle word boundaries (so unaligned ``slice_intervals``
         bit-shifting is exercised), lengths include sub-word, exact-word,
@@ -161,8 +150,7 @@ class TestKernelParity:
         """
         rng = np.random.default_rng(41)
         matrix = rng.random((7 * 64 + 13, 23)) < 0.3
-        packed = ObservationMatrix(matrix, backend="packed")
-        dense = ObservationMatrix(matrix, backend="dense")
+        packed = ObservationMatrix(matrix)
         num_paths = matrix.shape[1]
         with use_kernel(name):
             for offset in (0, 1, 31, 63, 64, 65, 127, 200):
@@ -171,7 +159,7 @@ class TestKernelParity:
                     if stop > matrix.shape[0]:
                         continue
                     packed_window = packed.slice_intervals(offset, stop)
-                    dense_window = dense.slice_intervals(offset, stop)
+                    reference = matrix[offset:stop]
                     sets = [[]] + [
                         sorted(
                             rng.choice(
@@ -182,12 +170,12 @@ class TestKernelParity:
                     ]
                     np.testing.assert_array_equal(
                         packed_window.all_good_frequencies(sets),
-                        dense_window.all_good_frequencies(sets),
+                        dense.all_good_frequencies(reference, sets),
                     )
                     interval = int(rng.integers(length))
-                    assert packed_window.congested_paths(
-                        interval
-                    ) == dense_window.congested_paths(interval)
+                    assert packed_window.congested_paths(interval) == frozenset(
+                        np.flatnonzero(reference[interval]).tolist()
+                    )
 
     def test_strided_ring_window_views(self, name):
         """Ring-buffer windows are strided word views; kernels must accept
@@ -206,9 +194,7 @@ class TestKernelParity:
                 (ring.first_interval, ring.end_interval),
             ):
                 window = ring.window(start, stop)
-                reference = ObservationMatrix(
-                    stream[start:stop], backend="dense"
-                )
+                reference = stream[start:stop]
                 sets = [[]] + [
                     sorted(
                         rng.choice(num_paths, size=k, replace=False).tolist()
@@ -217,15 +203,15 @@ class TestKernelParity:
                 ]
                 np.testing.assert_array_equal(
                     window.all_good_frequencies(sets),
-                    reference.all_good_frequencies(sets),
+                    dense.all_good_frequencies(reference, sets),
                 )
                 np.testing.assert_array_equal(
                     window.path_congestion_frequency(),
-                    reference.path_congestion_frequency(),
+                    dense.congestion_frequencies(reference),
                 )
 
     def test_kernels_agree_pairwise(self, name):
-        """Every registered kernel reproduces the dense backend's exact bits."""
+        """Every registered kernel reproduces the dense reference's exact bits."""
         rng = np.random.default_rng(47)
         matrix = rng.random((321, 17)) < 0.4
         sets = [[]] + [
@@ -233,9 +219,7 @@ class TestKernelParity:
             for k in (1, 2, 4, 8, 17)
             for _ in range(3)
         ]
-        reference = ObservationMatrix(matrix, backend="dense").all_good_frequencies(
-            sets
-        )
+        reference = dense.all_good_frequencies(matrix, sets)
         with use_kernel(name):
             np.testing.assert_array_equal(
                 ObservationMatrix(matrix).all_good_frequencies(sets), reference
@@ -245,9 +229,8 @@ class TestKernelParity:
 def test_numpy_kernel_scratch_caches_padded_words():
     rng = np.random.default_rng(53)
     matrix = rng.random((100, 5)) < 0.5
-    obs = ObservationMatrix(matrix, backend="packed")
     kernel = NumpyKernel()
-    words = obs._backend.words
+    words = ObservationMatrix(matrix).words
     scratch: dict = {}
     indices = np.array([[0, 5], [1, 2]], dtype=np.intp)  # 5 = dummy row
     lengths = np.array([1, 2], dtype=np.int64)
@@ -264,10 +247,11 @@ def test_backend_pickle_drops_kernel_scratch():
     import pickle
 
     rng = np.random.default_rng(59)
-    obs = ObservationMatrix(rng.random((130, 7)) < 0.5, backend="packed")
+    obs = ObservationMatrix(rng.random((130, 7)) < 0.5)
     obs.all_good_frequencies([[0, 1], [2]])  # populate the scratch
+    assert obs._kernel_scratch
     restored = pickle.loads(pickle.dumps(obs))
-    assert restored._backend._kernel_scratch == {}
+    assert restored._kernel_scratch == {}
     np.testing.assert_array_equal(
         restored.all_good_frequencies([[0, 1], [2]]),
         obs.all_good_frequencies([[0, 1], [2]]),

@@ -1,12 +1,13 @@
-"""Packed vs dense observation backends: equivalence property tests.
+"""Packed observation words vs the dense reference: property tests.
 
-The bit-packed ``uint64`` backend is the production storage; the dense
-boolean backend is the executable specification. These tests check that
-every frequency query agrees between the two across randomized observation
-matrices (including horizons that are not a multiple of 64, all-good and
-all-congested extremes), that interval slicing agrees at arbitrary (word-
-aligned and unaligned) offsets, and that every estimator produces
-*identical* fitted probabilities (to 1e-9) regardless of backend.
+The bit-packed ``uint64`` words are the one observation store; the dense
+queries of :mod:`tests.dense_observations` are the executable
+specification. These tests check that every frequency query matches the
+reference bit for bit across randomized observation matrices (including
+horizons that are not a multiple of 64, all-good and all-congested
+extremes) and that interval slicing matches at arbitrary (word-aligned and
+unaligned) offsets. The estimators' fits on these words are pinned by the
+frozen digests of ``tests/probability/test_algorithm1_digests.py``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,9 @@ from repro.model.packed import WORD_BITS, pack_bool_matrix, unpack_words
 from repro.model.status import ObservationMatrix
 from repro.probability.base import EstimatorConfig
 from repro.probability.correlation_complete import CorrelationCompleteEstimator
-from repro.probability.correlation_heuristic import CorrelationHeuristicEstimator
-from repro.probability.independence import IndependenceEstimator
 from repro.simulation.congestion import CongestionModel, Driver
-from repro.simulation.experiment import run_experiment
 from repro.simulation.probing import oracle_path_status
-from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
+from tests import dense_observations as dense
 
 
 def _random_matrices(seed: int, trials: int):
@@ -67,58 +65,42 @@ def test_pack_roundtrip_exact():
 def test_query_equivalence_randomized():
     rng = np.random.default_rng(2)
     for matrix in _random_matrices(seed=3, trials=60):
-        packed = ObservationMatrix(matrix, backend="packed")
-        dense = ObservationMatrix(matrix, backend="dense")
-        assert packed.backend_name == "packed"
-        assert dense.backend_name == "dense"
+        packed = ObservationMatrix(matrix)
         sets = _random_path_sets(rng, matrix.shape[1])
-        np.testing.assert_allclose(
-            packed.all_good_frequencies(sets),
-            dense.all_good_frequencies(sets),
-            rtol=0,
-            atol=0,
-        )
-        for path_set in sets:
-            assert packed.all_good_frequency(path_set) == dense.all_good_frequency(
-                path_set
-            )
-        np.testing.assert_allclose(
-            packed.path_congestion_frequency(),
-            dense.path_congestion_frequency(),
-            rtol=0,
-            atol=0,
-        )
+        reference = dense.all_good_frequencies(matrix, sets)
+        np.testing.assert_array_equal(packed.all_good_frequencies(sets), reference)
+        for path_set, expected in zip(sets, reference):
+            assert packed.all_good_frequency(path_set) == expected
+        frequency = dense.congestion_frequencies(matrix)
+        np.testing.assert_array_equal(packed.path_congestion_frequency(), frequency)
         for tolerance in (0.0, 0.15):
-            assert packed.always_good_paths(tolerance) == dense.always_good_paths(
-                tolerance
+            assert packed.always_good_paths(tolerance) == frozenset(
+                np.flatnonzero(frequency <= tolerance).tolist()
             )
-            assert packed.always_congested_paths(
-                tolerance
-            ) == dense.always_congested_paths(tolerance)
+            assert packed.always_congested_paths(tolerance) == frozenset(
+                np.flatnonzero(frequency >= 1.0 - tolerance).tolist()
+            )
         interval = int(rng.integers(matrix.shape[0]))
-        assert packed.congested_paths(interval) == dense.congested_paths(interval)
+        assert packed.congested_paths(interval) == frozenset(
+            np.flatnonzero(matrix[interval]).tolist()
+        )
 
 
 def test_slice_equivalence_aligned_and_unaligned():
     rng = np.random.default_rng(4)
     matrix = rng.random((500, 17)) < 0.3
-    packed = ObservationMatrix(matrix, backend="packed")
-    dense = ObservationMatrix(matrix, backend="dense")
+    packed = ObservationMatrix(matrix)
     windows = [(0, 64), (64, 192), (0, 500), (3, 130), (65, 100), (499, 500), (100, 100)]
     windows += [tuple(sorted(rng.integers(0, 501, size=2).tolist())) for _ in range(20)]
     for start, stop in windows:
         packed_window = packed.slice_intervals(start, stop)
-        dense_window = dense.slice_intervals(start, stop)
         assert packed_window.num_intervals == stop - start
         if stop > start:
             assert np.array_equal(packed_window.matrix, matrix[start:stop])
-            assert np.array_equal(dense_window.matrix, matrix[start:stop])
             sets = _random_path_sets(rng, matrix.shape[1], count=6)
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 packed_window.all_good_frequencies(sets),
-                dense_window.all_good_frequencies(sets),
-                rtol=0,
-                atol=0,
+                dense.all_good_frequencies(matrix[start:stop], sets),
             )
 
 
@@ -130,11 +112,6 @@ def test_slice_out_of_range_rejected():
         obs.slice_intervals(0, 11)
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        ObservationMatrix(np.zeros((2, 2), dtype=bool), backend="sparse")
-
-
 def test_padding_bits_never_leak():
     # All-congested with T one past a word boundary: the 63 padding bits
     # must not count as good intervals.
@@ -142,10 +119,6 @@ def test_padding_bits_never_leak():
     packed = ObservationMatrix(matrix)
     assert packed.all_good_frequency([0]) == 0.0
     assert packed.always_congested_paths() == frozenset({0, 1, 2})
-
-
-def _dense_copy(observations: ObservationMatrix) -> ObservationMatrix:
-    return ObservationMatrix(observations.matrix, backend="dense")
 
 
 @pytest.fixture(scope="module")
@@ -163,67 +136,6 @@ def fig_scenario_observations(request):
     )
     states = truth.sample(3000, np.random.default_rng(11))
     return network, oracle_path_status(network, states)
-
-
-@pytest.mark.parametrize(
-    "estimator_factory",
-    [
-        lambda: IndependenceEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        lambda: CorrelationHeuristicEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        lambda: CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-    ],
-    ids=["independence", "heuristic", "complete"],
-)
-def test_estimator_outputs_identical_across_backends(
-    fig_scenario_observations, estimator_factory
-):
-    network, observations = fig_scenario_observations
-    packed_model = estimator_factory().fit(network, observations)
-    dense_model = estimator_factory().fit(network, _dense_copy(observations))
-    assert set(packed_model.subsets) == set(dense_model.subsets)
-    for subset in packed_model.subsets:
-        assert packed_model.prob_all_good(subset) == pytest.approx(
-            dense_model.prob_all_good(subset), abs=1e-9
-        )
-        assert packed_model.is_identifiable(subset) == dense_model.is_identifiable(
-            subset
-        )
-    for link in range(network.num_links):
-        assert packed_model.link_congestion_probability(link) == pytest.approx(
-            dense_model.link_congestion_probability(link), abs=1e-9
-        )
-
-
-def test_estimator_outputs_identical_on_simulated_scenario():
-    """Backend equivalence on a generated Brite scenario with noisy probing."""
-    from repro.topology.brite import BriteConfig, generate_brite_network
-
-    network = generate_brite_network(
-        BriteConfig(
-            num_ases=8,
-            as_attachment=2,
-            routers_per_as=3,
-            inter_as_links=2,
-            num_vantage_points=2,
-            num_destinations=20,
-            num_paths=40,
-        ),
-        13,
-    )
-    scenario = build_scenario(network, ScenarioConfig(kind=ScenarioKind.RANDOM), 17)
-    experiment = run_experiment(scenario, 400, random_state=19)
-    assert experiment.observations.backend_name == "packed"
-    for estimator_factory in (
-        lambda: IndependenceEstimator(EstimatorConfig(seed=3)),
-        lambda: CorrelationCompleteEstimator(EstimatorConfig(seed=3)),
-    ):
-        packed_model = estimator_factory().fit(network, experiment.observations)
-        dense_model = estimator_factory().fit(
-            network, _dense_copy(experiment.observations)
-        )
-        packed_marginals = packed_model.link_marginals()
-        dense_marginals = dense_model.link_marginals()
-        np.testing.assert_allclose(packed_marginals, dense_marginals, rtol=0, atol=1e-9)
 
 
 def test_frequency_cache_counters_and_bound():

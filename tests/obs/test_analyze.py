@@ -174,7 +174,7 @@ def test_diff_aggregates_covers_both_sides():
     assert [d.name for d in deltas] == ["a", "b"]
 
 
-def test_top_regressions_known_only_drops_new_spans():
+def test_top_regressions_rank_growth_including_new_spans():
     one = {"count": 1, "total_s": 1.0, "self_s": 1.0}
     base = {name: dict(one) for name in "abc"}
     cur = {
@@ -185,11 +185,9 @@ def test_top_regressions_known_only_drops_new_spans():
     }
     deltas = diff_aggregates(base, cur)
     ranked = top_regressions(deltas)
-    assert [d.name for d in ranked] == ["b", "a"]
-    assert ranked[0].delta_self_s == 2.0
-    assert [d.name for d in top_regressions(deltas, limit=1)] == ["b"]
-    ranked = top_regressions(deltas, known_only=False)
     assert [d.name for d in ranked] == ["new", "b", "a"]
+    assert ranked[1].delta_self_s == 2.0
+    assert [d.name for d in top_regressions(deltas, limit=2)] == ["new", "b"]
 
 
 def test_diff_traces_and_render(tmp_path):

@@ -5,10 +5,10 @@ chosen path sets in selection order, every estimate's exact float bits,
 the rank, the residual and the equation count. The cases are
 
 * the tiny-scale Fig. 4 cells (Brite and Sparse topologies under the
-  three Fig. 4 scenarios, on the packed and the dense observation
-  backends) fitted by Correlation-complete with and without the
-  redundancy pass, and by the Independence and Correlation-heuristic
-  baselines;
+  three Fig. 4 scenarios; the keys keep the ``packed`` segment they had
+  when a dense observation store was digested next to it) fitted by
+  Correlation-complete with and without the redundancy pass, and by the
+  Independence and Correlation-heuristic baselines;
 * one 1k-node power-law deployment derived through
   :func:`~repro.datasets.base.derive_network_compact`;
 * the ``scaling-topology`` study's route and estimate digests at its
@@ -53,7 +53,6 @@ from repro.exceptions import EstimationError
 from repro.experiments.config import TINY
 from repro.experiments.mitigation import DEFAULT_SCENARIOS, run_mitigation
 from repro.experiments.scaling_topology import run_scaling_topology
-from repro.model.status import ObservationMatrix
 from repro.probability.base import EstimatorConfig
 from repro.probability.correlation_complete import (
     CorrelationCompleteEstimator,
@@ -114,7 +113,7 @@ def fit_digest(estimator, network, observations) -> str:
 
 
 def fig4_digests() -> Dict[str, str]:
-    """Digests of the tiny-scale Fig. 4 cells, per backend and estimator.
+    """Digests of the tiny-scale Fig. 4 cells, per estimator.
 
     Correlation-complete cells are keyed ``fig4/...``, the baselines'
     ``fig4-baselines/...``.
@@ -133,24 +132,16 @@ def fig4_digests() -> Dict[str, str]:
                 prober=PathProber(num_packets=TINY.num_packets),
                 random_state=30 + offset,
             )
-            backends = {
-                "packed": experiment.observations,
-                "dense": ObservationMatrix(
-                    experiment.observations.matrix, backend="dense"
-                ),
-            }
-            for backend, observations in backends.items():
-                cell = f"{topology}/{label}/{backend}"
-                for estimator in ESTIMATORS:
-                    digests[f"fig4/{cell}/{estimator.name}"] = fit_digest(
-                        estimator(EstimatorConfig(seed=3)), network, observations
-                    )
-                for estimator in BASELINES:
-                    digests[f"fig4-baselines/{cell}/{estimator.name}"] = fit_digest(
-                        estimator(EstimatorConfig(seed=3)),
-                        network,
-                        observations,
-                    )
+            observations = experiment.observations
+            cell = f"{topology}/{label}/packed"
+            for estimator in ESTIMATORS:
+                digests[f"fig4/{cell}/{estimator.name}"] = fit_digest(
+                    estimator(EstimatorConfig(seed=3)), network, observations
+                )
+            for estimator in BASELINES:
+                digests[f"fig4-baselines/{cell}/{estimator.name}"] = fit_digest(
+                    estimator(EstimatorConfig(seed=3)), network, observations
+                )
     return digests
 
 
@@ -276,12 +267,12 @@ def _assert_prefix_matches(frozen, computed, prefix: str, count: int) -> None:
 
 
 def test_fig4_cells_match_frozen_digests(frozen, computed):
-    count = 2 * len(SCENARIOS) * 2 * len(ESTIMATORS)
+    count = 2 * len(SCENARIOS) * len(ESTIMATORS)
     _assert_prefix_matches(frozen, computed, "fig4/", count)
 
 
 def test_fig4_baselines_match_frozen_digests(frozen, computed):
-    count = 2 * len(SCENARIOS) * 2 * len(BASELINES)
+    count = 2 * len(SCENARIOS) * len(BASELINES)
     _assert_prefix_matches(frozen, computed, "fig4-baselines/", count)
 
 

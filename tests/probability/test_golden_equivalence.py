@@ -6,9 +6,9 @@ estimators' ``fit()`` bodies as they existed before the staged-pipeline
 refactor (one monolithic method per algorithm, cold cache per fit). Every
 pipeline fit must reproduce their models *and* reports exactly — same
 estimate floats, same identifiability, same path-set selection, same cache
-counters — on both the packed and the dense observation backends; and a fit
-through a shared :class:`~repro.probability.pipeline.SharedFitWorkspace`
-must equal the cold-cache fit bit for bit. Correlation-complete's cache
+counters; and a fit through a shared
+:class:`~repro.probability.pipeline.SharedFitWorkspace` must equal the
+cold-cache fit bit for bit. Correlation-complete's cache
 counters are the one exception: its candidate frontier skips the repeat
 frequency queries of the legacy rescan, so they may only drop.
 """
@@ -452,11 +452,9 @@ def experiment(small_brite):
     )
 
 
-@pytest.fixture(scope="module", params=["packed", "dense"])
-def observations(request, experiment):
-    if request.param == "packed":
-        return experiment.observations
-    return ObservationMatrix(experiment.observations.matrix, backend="dense")
+@pytest.fixture(scope="module")
+def observations(experiment):
+    return experiment.observations
 
 
 # (name, factory, legacy fit, cache counters may drop below the legacy's)

@@ -7,7 +7,15 @@ import pytest
 
 from repro.exceptions import ScenarioError
 from repro.simulation.loss import LossModel
-from repro.simulation.probing import PathProber, oracle_path_status
+from repro.simulation.probing import (
+    EMIT_CHUNK_INTERVALS,
+    PathProber,
+    oracle_path_status,
+)
+from tests import dense_observations as dense
+
+#: A horizon spanning two full emission chunks and part of a third.
+CHUNKED_HORIZON = 2 * EMIT_CHUNK_INTERVALS + 100
 
 
 def test_loss_ranges():
@@ -96,3 +104,43 @@ def test_prober_agrees_with_oracle_mostly(fig1_case1, fig1_model):
     probed = PathProber(num_packets=2000).observe(fig1_case1, states, 6).matrix
     agreement = (oracle == probed).mean()
     assert agreement > 0.93
+
+
+def test_chunked_oracle_matches_unchunked(fig1_case1, fig1_model):
+    """Oracle observations packed chunk by chunk equal one unchunked pass."""
+    states = fig1_model.sample(CHUNKED_HORIZON, np.random.default_rng(5))
+    observed = oracle_path_status(fig1_case1, states)
+    expected = fig1_case1.incidence.path_status(states)
+    assert observed.num_intervals == CHUNKED_HORIZON
+    assert np.array_equal(observed.matrix, expected)
+    sets = [[], [0], [1, 2], list(range(fig1_case1.num_paths))]
+    np.testing.assert_array_equal(
+        observed.all_good_frequencies(sets),
+        dense.all_good_frequencies(expected, sets),
+    )
+    np.testing.assert_array_equal(
+        observed.path_congestion_frequency(), dense.congestion_frequencies(expected)
+    )
+    # Word-aligned and unaligned windows straddling each chunk boundary.
+    for boundary in (EMIT_CHUNK_INTERVALS, 2 * EMIT_CHUNK_INTERVALS):
+        windows = ((boundary - 64, boundary + 64), (boundary - 70, boundary + 50))
+        for start, stop in windows:
+            np.testing.assert_array_equal(
+                observed.slice_intervals(start, stop).all_good_frequencies(sets),
+                dense.all_good_frequencies(expected[start:stop], sets),
+            )
+
+
+def test_chunked_prober_matches_session_chunks(fig1_case1, fig1_model):
+    """A long probed horizon is the same-seed session's chunk draws."""
+    states = fig1_model.sample(CHUNKED_HORIZON, np.random.default_rng(6))
+    prober = PathProber(num_packets=50)
+    observed = prober.observe(fig1_case1, states, random_state=7)
+    assert observed.num_intervals == CHUNKED_HORIZON
+    session = prober.session(fig1_case1, random_state=7)
+    for start in range(0, CHUNKED_HORIZON, EMIT_CHUNK_INTERVALS):
+        stop = min(start + EMIT_CHUNK_INTERVALS, CHUNKED_HORIZON)
+        np.testing.assert_array_equal(
+            observed.slice_intervals(start, stop).matrix,
+            session.observe_chunk(states[start:stop]),
+        )

@@ -60,14 +60,14 @@ def test_word_aligned_windows_are_zero_copy():
     ring = PackedRingBuffer(4, retention=1024)
     ring.append(horizon[:500])
     aligned = ring.window(64, 448)
-    assert np.shares_memory(aligned._backend.words, ring._words)
+    assert np.shares_memory(aligned.words, ring._words)
     # Windows touching the partially-filled live-edge word are copies:
     # sharing that word with the writer would corrupt the view's counts
     # on the next append.
     live_edge = ring.window(128, 500)
-    assert not np.shares_memory(live_edge._backend.words, ring._words)
+    assert not np.shares_memory(live_edge.words, ring._words)
     unaligned = ring.window(13, 205)
-    assert not np.shares_memory(unaligned._backend.words, ring._words)
+    assert not np.shares_memory(unaligned.words, ring._words)
 
 
 def test_live_edge_window_immutable_after_append():
@@ -75,9 +75,9 @@ def test_live_edge_window_immutable_after_append():
     ring = PackedRingBuffer(2, retention=1024)
     ring.append(np.zeros((10, 2), dtype=bool))
     view = ring.window(0, 10)
-    assert view._backend.congestion_counts().tolist() == [0, 0]
+    assert view.path_congestion_frequency().tolist() == [0.0, 0.0]
     ring.append(np.ones((10, 2), dtype=bool))
-    assert view._backend.congestion_counts().tolist() == [0, 0]
+    assert view.path_congestion_frequency().tolist() == [0.0, 0.0]
     assert view.all_good_frequency([0, 1]) == 1.0
 
 

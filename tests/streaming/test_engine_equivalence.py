@@ -3,8 +3,7 @@
 A :class:`StreamingEstimator` fed a horizon round by round must reproduce
 the offline :class:`WindowedEstimator` timelines exactly — same window
 spans, same link/set/peer series to 1e-9 (in practice bit-identical) —
-across packed and dense offline backends, tumbling and overlapping
-strides, and arbitrary ingest chunkings.
+across tumbling and overlapping strides and arbitrary ingest chunkings.
 """
 
 from __future__ import annotations
@@ -86,10 +85,9 @@ def _assert_timelines_match(network, offline, streaming, tol=1e-9):
         )
 
 
-@pytest.mark.parametrize("backend", ["packed", "dense"])
 @pytest.mark.parametrize("window,stride", [(200, 200), (200, 100), (150, 70)])
-def test_streaming_matches_offline(network, horizon, backend, window, stride):
-    observations = ObservationMatrix(horizon, backend=backend)
+def test_streaming_matches_offline(network, horizon, window, stride):
+    observations = ObservationMatrix(horizon)
     offline = WindowedEstimator(_estimator(), window=window, stride=stride).fit(
         network, observations
     )

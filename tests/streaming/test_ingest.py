@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,35 @@ def test_ndjson_rejects_malformed(tmp_path):
     )
     with pytest.raises(ScenarioError):
         list(NDJSONTraceSource(worse).chunks())
+
+
+_HEADER = b'{"type": "header", "num_paths": 2}\n'
+
+
+@pytest.mark.parametrize(
+    "content,line",
+    [
+        (b"", 1),
+        (_HEADER + b'{"type": "round", "congested": [1', 2),
+        (_HEADER + b'{"type": "round", "congested": []}\n\xff\xfe\n', 3),
+        (b'["header", 2]\n', 1),
+        (_HEADER + b'["round", [1]]\n', 2),
+        (_HEADER + b'{"type": "round", "congested": ["a"]}\n', 2),
+        (b'{"type": "header", "num_paths": -2}\n', 1),
+    ],
+    ids=[
+        "empty-file",
+        "truncated-last-line",
+        "non-utf8",
+        "list-header",
+        "list-record",
+        "non-integer-index",
+        "negative-num-paths",
+    ],
+)
+def test_ndjson_hostile_trace_names_its_line(tmp_path, content, line):
+    """Every malformed trace fails typed, naming ``path:line``."""
+    trace = tmp_path / "hostile.ndjson"
+    trace.write_bytes(content)
+    with pytest.raises(ScenarioError, match=re.escape(f"{trace}:{line}:")):
+        list(NDJSONTraceSource(trace).chunks())

@@ -171,29 +171,10 @@ class TestSelectEndpointPairsLazy:
 
 
 class TestRouteOracleBound:
-    def test_lru_cap_bounds_entries_with_identical_answers(self):
-        graph = nx.path_graph(30)
-        unbounded = RouteOracle(graph)
-        bounded = RouteOracle(graph, max_entries=4)
-        pairs = [(0, t) for t in range(1, 25)] + [(0, t) for t in range(1, 25)]
-        for source, target in pairs:
-            assert bounded.shortest(source, target) == unbounded.shortest(
-                source, target
-            )
-        assert len(bounded._shortest) <= 4
-        # The second pass of an unbounded oracle is all hits; the bounded
-        # one recomputed evicted pairs but never answered differently.
-        assert unbounded.hits > 0
-        assert bounded.misses > unbounded.misses
-
-    def test_rejects_non_positive_cap(self):
-        with pytest.raises(TopologyError, match="max_entries"):
-            RouteOracle(nx.path_graph(3), max_entries=0)
-
     def test_exports_size_and_hit_rate_gauges(self):
         graph = nx.path_graph(10)
         with obs.use_mode("metrics"), obs.capture_metrics() as captured:
-            oracle = RouteOracle(graph, max_entries=8)
+            oracle = RouteOracle(graph)
             oracle.shortest(0, 5)
             oracle.shortest(0, 5)
         gauges = {
