@@ -215,8 +215,11 @@ def derive_network_compact(
       :func:`~repro.topology.routing.select_endpoint_pairs_lazy`, which
       never materialises the O(V x D) pair product;
     * one deterministic BFS parent tree (FIFO frontier, ascending
-      neighbours) per distinct vantage serves all of its destinations
-      (instead of one ``nx.shortest_path`` per pair);
+      neighbours, first discoverer is the parent) per distinct vantage
+      serves all of its destinations (instead of one
+      ``nx.shortest_path`` per pair); SciPy's compiled
+      ``breadth_first_order`` runs that search over the CSR arrays
+      (:meth:`~repro.topology.routing.CompactGraph.bfs_parents`);
     * the graph is a CSR :class:`~repro.topology.routing.CompactGraph`, the
       router->AS map is the O(1)
       :class:`~repro.topology.aslevel.IdentityAsnMap`, and routes

@@ -58,6 +58,51 @@ def _mask_of(links: Iterable[int]) -> int:
     return mask
 
 
+def _active_parts(
+    network: Network, active_links: FrozenSet[int]
+) -> Tuple[List[FrozenSet[int]], List[int], int]:
+    """Each correlation set restricted to ``active_links``.
+
+    Returns, indexed by position in ``network.correlation_sets``, the
+    active members and their link bitmask (empty and 0 when none is
+    active), plus a bitmask with bit ``j`` set for every set ``j`` that
+    keeps an active link.
+    """
+    parts = [frozenset(c & active_links) for c in network.correlation_sets]
+    masks = [_mask_of(members) for members in parts]
+    active_sets = _mask_of(j for j, members in enumerate(parts) if members)
+    return parts, masks, active_sets
+
+
+def _touched_parts(
+    path_set: Iterable[int],
+    path_masks: List[int],
+    path_set_masks: List[int],
+    set_masks: List[int],
+    active_sets: int,
+) -> List[int]:
+    """The non-empty ``Links(P) intersect C`` masks, in correlation-set order.
+
+    ORs the paths' link masks and correlation-set masks, then visits only
+    the active sets the path set touches, lowest index first: the same
+    parts, in the same order, as a scan over every active set.
+    """
+    links_mask = 0
+    touched = 0
+    for path_index in path_set:
+        links_mask |= path_masks[path_index]
+        touched |= path_set_masks[path_index]
+    touched &= active_sets
+    parts: List[int] = []
+    while touched:
+        low = touched & -touched
+        touched ^= low
+        part = links_mask & set_masks[low.bit_length() - 1]
+        if part:  # a path may touch a set only through its inactive links
+            parts.append(part)
+    return parts
+
+
 def _links_of_mask(mask: int) -> FrozenSet[int]:
     """Inverse of :func:`_mask_of`."""
     links = []
@@ -97,32 +142,30 @@ class SubsetIndex:
         }
         if len(self._position) != len(self.subsets):
             raise EstimationError("SubsetIndex: duplicate subsets in ordering")
+        parts, self._set_masks, self._active_sets = _active_parts(
+            network, active_links
+        )
         self._correlation_set_of: Dict[FrozenSet[int], FrozenSet[int]] = {}
-        self._active_sets: List[FrozenSet[int]] = [
-            frozenset(c & active_links)
-            for c in network.correlation_sets
-            if c & active_links
-        ]
         for subset in self.subsets:
             owner = None
-            for members in self._active_sets:
+            link_index = min(subset, default=-1)
+            if 0 <= link_index < network.num_links:
+                members = parts[network.correlation_set_index(link_index)]
                 if subset <= members:
                     owner = members
-                    break
             if owner is None:
                 raise EstimationError(
                     f"subset {sorted(subset)} crosses correlation-set boundaries"
                 )
             self._correlation_set_of[subset] = owner
         # Bitmask mirrors of the frozenset structures: decomposing a path
-        # set into Eq. 1 unknowns becomes a few integer AND/ORs instead of
-        # per-query frozenset algebra.
-        self._active_mask = _mask_of(active_links)
-        self._set_masks = [_mask_of(members) for members in self._active_sets]
+        # set into Eq. 1 unknowns becomes a few integer AND/ORs over the
+        # correlation sets it touches instead of per-query frozenset algebra.
         self._position_by_mask: Dict[int, int] = {
             _mask_of(subset): i for i, subset in enumerate(self.subsets)
         }
         self._path_masks = network.path_link_masks()
+        self._path_set_masks = network.path_correlation_set_masks()
         self._selector_cache: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self._decompose_cache: Dict[FrozenSet[int], Optional[Tuple[int, ...]]] = {}
 
@@ -155,12 +198,8 @@ class SubsetIndex:
             if subset and subset not in admitted:
                 admitted[subset] = None
 
-        active_sets = [
-            frozenset(c & active_links)
-            for c in network.correlation_sets
-            if c & active_links
-        ]
-        for members in active_sets:
+        parts, set_masks, active_sets = _active_parts(network, active_links)
+        for members in parts:
             ordered = sorted(members)
             count = 0
             for size in range(1, min(requested_subset_size, len(ordered)) + 1):
@@ -174,17 +213,13 @@ class SubsetIndex:
         # Mask arithmetic for the candidate sweep: the pool may hold
         # thousands of path sets, and each only needs a few integer ANDs.
         path_masks = network.path_link_masks()
-        active_mask = _mask_of(active_links)
-        set_masks = [_mask_of(members) for members in active_sets]
+        path_set_masks = network.path_correlation_set_masks()
         known_parts: Dict[int, FrozenSet[int]] = {}
         for path_set in candidate_path_sets:
-            links_mask = 0
-            for path_index in path_set:
-                links_mask |= path_masks[path_index]
-            links_mask &= active_mask
-            for set_mask in set_masks:
-                part_mask = links_mask & set_mask
-                if not part_mask or part_mask.bit_count() > hard_subset_cap:
+            for part_mask in _touched_parts(
+                path_set, path_masks, path_set_masks, set_masks, active_sets
+            ):
+                if part_mask.bit_count() > hard_subset_cap:
                     continue
                 part = known_parts.get(part_mask)
                 if part is None:
@@ -236,10 +271,6 @@ class SubsetIndex:
         except KeyError as exc:
             raise EstimationError(f"subset {sorted(subset)} not indexed") from exc
 
-    def active_correlation_sets(self) -> List[FrozenSet[int]]:
-        """Correlation sets restricted to active links (non-empty only)."""
-        return list(self._active_sets)
-
     def complement(self, subset: FrozenSet[int]) -> FrozenSet[int]:
         """The paper's complement: the rest of the (active) correlation set.
 
@@ -267,16 +298,14 @@ class SubsetIndex:
             pass
         else:
             return None if cached is None else list(cached)
-        path_masks = self._path_masks
-        links_mask = 0
-        for path_index in key:
-            links_mask |= path_masks[path_index]
-        links_mask &= self._active_mask
         positions: List[int] = []
-        for set_mask in self._set_masks:
-            part = links_mask & set_mask
-            if not part:
-                continue
+        for part in _touched_parts(
+            key,
+            self._path_masks,
+            self._path_set_masks,
+            self._set_masks,
+            self._active_sets,
+        ):
             position = self._position_by_mask.get(part)
             if position is None:
                 self._decompose_cache[key] = None

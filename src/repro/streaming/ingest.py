@@ -37,6 +37,11 @@ from repro.model.status import ObservationMatrix
 from repro.simulation.probing import StreamingProber
 from repro.util.rng import RandomState
 
+#: Widest trace header :class:`NDJSONTraceSource` accepts. Far above any
+#: monitored network (the 10k-node AS path derives thousands of paths); a
+#: wider header is corrupt, and its chunk buffer would not fit in memory.
+MAX_TRACE_PATHS = 10_000_000
+
 
 class ObservationSource(ABC):
     """A stream of probe-round blocks with a fixed path width."""
@@ -178,8 +183,8 @@ class NDJSONTraceSource(ObservationSource):
 
     The file is read lazily line by line, so arbitrarily long recorded
     campaigns replay in bounded memory. A trace is untrusted input: any
-    malformed line (bad JSON or UTF-8, a non-object record, a bad header,
-    a congested entry that is not a path index) raises
+    malformed line (bad JSON or UTF-8, a non-object record, a bad or
+    oversized header, a congested entry that is not a path index) raises
     :class:`~repro.exceptions.ScenarioError` naming ``path:line``.
     """
 
@@ -193,6 +198,11 @@ class NDJSONTraceSource(ObservationSource):
         if header.get("type") != "header" or not _is_count(header.get("num_paths")):
             raise ScenarioError(
                 f"{self.path}:1: first NDJSON line must be the trace header"
+            )
+        if header["num_paths"] > MAX_TRACE_PATHS:
+            raise ScenarioError(
+                f"{self.path}:1: num_paths {header['num_paths']} exceeds "
+                f"{MAX_TRACE_PATHS}"
             )
         self._num_paths = header["num_paths"]
 

@@ -220,6 +220,9 @@ class Network:
         self._validate()
         self._incidence = PathIncidence(self.paths, self.num_links)
         self._correlation_sets = self._build_correlation_sets()
+        self._set_of_link = np.empty(self.num_links, dtype=np.int64)
+        for set_index, members in enumerate(self._correlation_sets):
+            self._set_of_link[list(members)] = set_index
         bounds = self._incidence.link_indptr.tolist()
         link_paths = self._incidence.link_paths
         self._paths_by_link: List[FrozenSet[int]] = [
@@ -227,6 +230,7 @@ class Network:
             for start, stop in zip(bounds[:-1], bounds[1:])
         ]
         self._path_link_masks: Optional[List[int]] = None
+        self._path_set_masks: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -287,11 +291,13 @@ class Network:
 
     def correlation_set_of(self, link_index: int) -> FrozenSet[int]:
         """Return the correlation set containing link ``link_index``."""
-        asn = self.links[link_index].asn
-        for members in self._correlation_sets:
-            if link_index in members:
-                return members
-        raise TopologyError(f"link {link_index} (asn {asn}) is in no correlation set")
+        return self._correlation_sets[self.correlation_set_index(link_index)]
+
+    def correlation_set_index(self, link_index: int) -> int:
+        """Position in :attr:`correlation_sets` of the set holding ``link_index``."""
+        if not 0 <= link_index < self.num_links:
+            raise TopologyError(f"link {link_index} is not in the network")
+        return int(self._set_of_link[link_index])
 
     def path_lengths(self) -> np.ndarray:
         """Return the number of links ``d`` of each path, shape (num_paths,)."""
@@ -330,6 +336,27 @@ class Network:
                 masks.append(mask)
             self._path_link_masks = masks
         return self._path_link_masks
+
+    def path_correlation_set_masks(self) -> List[int]:
+        """Per-path correlation-set coverage as integer bitmasks.
+
+        Bit ``j`` of path ``p``'s mask is set when ``p`` traverses a link
+        of ``correlation_sets[j]``. ORing these over a path set names the
+        only correlation sets ``Links(P)`` can intersect, so row
+        construction visits those instead of every set. Computed once per
+        network and cached.
+        """
+        if self._path_set_masks is None:
+            set_ids = self._set_of_link[self._incidence.indices].tolist()
+            bounds = self._incidence.indptr.tolist()
+            masks = []
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                mask = 0
+                for set_index in set_ids[start:stop]:
+                    mask |= 1 << set_index
+                masks.append(mask)
+            self._path_set_masks = masks
+        return self._path_set_masks
 
     def paths_through_all(self, link_set: Iterable[int]) -> FrozenSet[int]:
         """Paths traversing *every* link of ``link_set`` (used by Condition 1)."""

@@ -12,6 +12,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.exceptions import TopologyError
 from repro.obs import gauge
@@ -19,6 +21,10 @@ from repro.util.rng import RandomState, as_generator
 
 #: A router-level route: a sequence of router identifiers.
 RouterRoute = Tuple[int, ...]
+
+#: Exclusive bound on :class:`CompactGraph` node ids and adjacency entries:
+#: :mod:`scipy.sparse.csgraph` indexes with int32.
+_INT32_LIMIT = 2**31
 
 _ORACLE_ENTRIES = gauge(
     "repro_route_oracle_entries",
@@ -284,11 +290,12 @@ class CompactGraph:
     """An undirected graph as CSR adjacency arrays over dense node ids.
 
     The sparse counterpart of the router-level ``nx.Graph``: neighbours
-    live in two flat numpy arrays (``indptr``/``neighbors``) instead of
+    live in two flat int32 arrays (``indptr``/``neighbors``) instead of
     per-node dict-of-dicts, cutting a 10k-node AS graph from tens of MB of
     Python objects to a few hundred KB. Neighbour lists are sorted
     ascending, so :meth:`bfs_parents` discovers nodes in a reproducible
-    order.
+    order. The arrays are int32 because :mod:`scipy.sparse.csgraph`, which
+    runs the search over them, takes int32 indices only.
     """
 
     __slots__ = ("num_nodes", "indptr", "neighbors")
@@ -302,13 +309,25 @@ class CompactGraph:
     def from_edges(
         cls, num_nodes: int, src: np.ndarray, dst: np.ndarray
     ) -> "CompactGraph":
-        """Build from edge endpoint arrays (self-loops and dupes dropped)."""
+        """Build from edge endpoint arrays (self-loops and dupes dropped).
+
+        Raises :class:`TopologyError` before allocating anything when the
+        node ids or the adjacency entries would not fit int32 indices.
+        """
+        if num_nodes >= _INT32_LIMIT:
+            raise TopologyError(
+                f"CompactGraph: {num_nodes} nodes do not fit int32 indices"
+            )
+        if num_nodes < 1:
+            raise TopologyError("CompactGraph: need at least one node")
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise TopologyError("CompactGraph: src/dst arrays differ in length")
-        if num_nodes < 1:
-            raise TopologyError("CompactGraph: need at least one node")
+        if 2 * src.size >= _INT32_LIMIT:
+            raise TopologyError(
+                f"CompactGraph: {src.size} edges do not fit int32 indices"
+            )
         if src.size and (
             src.min() < 0 or dst.min() < 0
             or src.max() >= num_nodes or dst.max() >= num_nodes
@@ -325,9 +344,9 @@ class CompactGraph:
         tails = keys // num_nodes
         heads = keys % num_nodes
         degrees = np.bincount(tails, minlength=num_nodes)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        indptr = np.zeros(num_nodes + 1, dtype=np.int32)
         np.cumsum(degrees, out=indptr[1:])
-        return cls(num_nodes, indptr, heads.astype(np.uint32))
+        return cls(num_nodes, indptr, heads.astype(np.int32))
 
     @property
     def num_edges(self) -> int:
@@ -349,25 +368,23 @@ class CompactGraph:
     def bfs_parents(self, source: int) -> np.ndarray:
         """First-discovery BFS parent array (``-1`` = unreachable).
 
-        FIFO frontier, neighbours visited in ascending order,
-        ``parents[source] == source``.
+        FIFO frontier, neighbours visited in ascending order, the first
+        node to discover a neighbour becomes its parent, and
+        ``parents[source] == source``. SciPy's compiled
+        ``breadth_first_order`` provides exactly this search: it scans
+        each dequeued node's CSR slice in stored (ascending) order, and
+        the adjacency arrays are handed to it without a copy.
         """
-        parents = np.full(self.num_nodes, -1, dtype=np.int64)
+        adjacency = csr_array(
+            (np.ones(self.neighbors.size), self.neighbors, self.indptr),
+            shape=(self.num_nodes, self.num_nodes),
+        )
+        _, predecessors = breadth_first_order(
+            adjacency, int(source), directed=True, return_predecessors=True
+        )
+        parents = predecessors.astype(np.int64)
+        parents[parents < 0] = -1
         parents[source] = source
-        frontier = np.array([source], dtype=np.int64)
-        indptr, neighbors = self.indptr, self.neighbors
-        while frontier.size:
-            # Gather every frontier node's adjacency slice; first write
-            # wins within a level because slices are visited in frontier
-            # (discovery) order and neighbours ascend within each slice.
-            next_frontier: List[int] = []
-            for node in frontier:
-                for neighbor in neighbors[indptr[node] : indptr[node + 1]]:
-                    neighbor = int(neighbor)
-                    if parents[neighbor] < 0:
-                        parents[neighbor] = node
-                        next_frontier.append(neighbor)
-            frontier = np.asarray(next_frontier, dtype=np.int64)
         return parents
 
 

@@ -171,6 +171,7 @@ _HEADER = b'{"type": "header", "num_paths": 2}\n'
         (_HEADER + b'["round", [1]]\n', 2),
         (_HEADER + b'{"type": "round", "congested": ["a"]}\n', 2),
         (b'{"type": "header", "num_paths": -2}\n', 1),
+        (b'{"type": "header", "num_paths": 10000000000000}\n', 1),
     ],
     ids=[
         "empty-file",
@@ -180,6 +181,7 @@ _HEADER = b'{"type": "header", "num_paths": 2}\n'
         "list-record",
         "non-integer-index",
         "negative-num-paths",
+        "oversized-num-paths",
     ],
 )
 def test_ndjson_hostile_trace_names_its_line(tmp_path, content, line):

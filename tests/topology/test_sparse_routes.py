@@ -11,11 +11,14 @@ sparse structures may only change memory, never a route.
 
 from __future__ import annotations
 
+import tracemalloc
 from typing import List
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.exceptions import TopologyError
@@ -27,6 +30,7 @@ from repro.topology.routing import (
     select_endpoint_pairs_lazy,
     shortest_route,
 )
+from tests import reference_bfs
 
 
 def bfs_parents_graph(graph: nx.Graph, source: int) -> dict:
@@ -101,12 +105,59 @@ class TestCompactGraph:
         parents = compact.bfs_parents(0)
         assert route_from_parents(parents, 0, 3) is None
 
+    def test_rejects_graphs_too_large_for_int32_indices(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TopologyError, match="int32"):
+                CompactGraph.from_edges(2**31, [0], [1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_nbytes_is_array_backed(self):
         compact = CompactGraph.from_edges(
             10_000, *map(np.asarray, _random_graph(10_000, 20_000, seed=3)[:2])
         )
         # CSR storage: well under 1MB where nx dict-of-dicts costs tens.
         assert compact.nbytes < 1_000_000
+
+
+@st.composite
+def edge_lists(draw):
+    """A random multigraph edge list (self-loops and duplicates allowed)
+    and a BFS source, which may be isolated."""
+    num_nodes = draw(st.integers(1, 40))
+    node = st.integers(0, num_nodes - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=80))
+    return num_nodes, edges, draw(node)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edge_lists())
+@example(case=(5, [(1, 2), (3, 4)], 0))  # degree-0 source
+@example(case=(1, [], 0))  # a single isolated node
+@example(case=(4, [(0, 0), (0, 1), (1, 0), (0, 1), (2, 2)], 0))  # loops, dupes
+@example(case=(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], 4))  # two components
+@example(case=(6, [(0, 5), (0, 4), (5, 3), (4, 3), (3, 1)], 0))  # tied parents
+def test_compiled_bfs_matches_reference(case):
+    """SciPy's BFS reproduces the interpreted FIFO BFS parent for parent."""
+    num_nodes, edges, source = case
+    src = np.array([a for a, _ in edges], dtype=np.int64)
+    dst = np.array([b for _, b in edges], dtype=np.int64)
+    graph = CompactGraph.from_edges(num_nodes, src, dst)
+    parents = graph.bfs_parents(source)
+    expected = reference_bfs.bfs_parents(graph.indptr, graph.neighbors, source)
+    assert parents.dtype == np.int64
+    assert np.array_equal(parents, expected)
+    adjacency = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
+    for target in range(num_nodes):
+        route = route_from_parents(parents, source, target)
+        if expected[target] < 0:
+            assert route is None
+            continue
+        assert route[0] == source and route[-1] == target
+        assert all(hop in adjacency for hop in zip(route, route[1:]))
 
 
 class TestSparseRouteTable:
