@@ -18,7 +18,11 @@ the rank, the residual and the equation count. The cases are
   one ``ClosedLoopReport`` JSON per cell;
 * the observation paths on one tiny network: :func:`oracle_path_status`,
   the oracle blocks of a :class:`StreamingProber` and one packet-level
-  :meth:`PathProber.observe` matrix.
+  :meth:`PathProber.observe` matrix;
+* windowed timelines (every window's span and link marginals): the Fig. 1
+  shifting horizon under Correlation-complete at three (window, stride)
+  geometries and under Independence, and one tiny Brite horizon per paper
+  estimator at stride 97 (window starts off the 64-interval word grid).
 
 Any change to the path-set selection, the null-space updates, the
 equation storage, the route derivation, the solve, the observation
@@ -60,11 +64,14 @@ from repro.probability.correlation_complete import (
 )
 from repro.probability.correlation_heuristic import CorrelationHeuristicEstimator
 from repro.probability.independence import IndependenceEstimator
+from repro.probability.windowed import WindowedEstimator
 from repro.simulation.experiment import run_experiment
 from repro.mitigation.policies import policy_names
+from repro.simulation.congestion import CongestionModel, Driver, NonStationaryModel
 from repro.simulation.probing import PathProber, StreamingProber, oracle_path_status
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
 from repro.topology.brite import generate_brite_network
+from repro.topology.builders import fig1_topology
 from repro.topology.traceroute import generate_sparse_network
 
 FIXTURE = (
@@ -223,6 +230,63 @@ def observation_digests() -> Dict[str, str]:
     }
 
 
+def timeline_digest(timeline) -> str:
+    """sha256 over every window's span and its link marginals' float bits."""
+    digest = hashlib.sha256()
+    for window in timeline.windows:
+        digest.update(f"W{window.start}:{window.stop}\n".encode())
+        digest.update(np.asarray(window.model.link_marginals(), np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def timeline_cells():
+    """``(key, estimator factory, network, observations, window, stride)``
+    of every frozen timeline."""
+    fig1 = fig1_topology(case=1)
+    quiet = CongestionModel(4, [Driver(0.1, frozenset({0}))])
+    busy = CongestionModel(4, [Driver(0.7, frozenset({0}))])
+    shifting = NonStationaryModel([(quiet, 400), (busy, 400)])
+    fig1_states = shifting.sample(800, np.random.default_rng(4))
+    fig1_horizon = oracle_path_status(fig1, fig1_states)
+
+    def complete():
+        return CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0))
+
+    cells = [
+        (f"fig1/Correlation-complete/{w}-{s}", complete, fig1, fig1_horizon, w, s)
+        for w, s in ((200, 200), (200, 100), (150, 70))
+    ]
+    key = "fig1/Independence/200-200"
+    cells.append((key, IndependenceEstimator, fig1, fig1_horizon, 200, 200))
+    brite = generate_brite_network(TINY.brite, 5)
+    scenario = build_scenario(brite, ScenarioConfig(kind=ScenarioKind.RANDOM), 60)
+    brite_horizon = oracle_path_status(brite, scenario.ground_truth.sample(420, 61))
+    for estimator in (*BASELINES, CorrelationCompleteEstimator):
+        cells.append(
+            (
+                f"brite/{estimator.name}/120-97",
+                lambda estimator=estimator: estimator(EstimatorConfig(seed=62)),
+                brite,
+                brite_horizon,
+                120,
+                97,
+            )
+        )
+    return cells
+
+
+def timeline_digests() -> Dict[str, str]:
+    """One digest per windowed timeline, keyed ``timeline/...``."""
+    return {
+        f"timeline/{key}": timeline_digest(
+            WindowedEstimator(make(), window=window, stride=stride).fit(
+                network, observations
+            )
+        )
+        for key, make, network, observations, window, stride in timeline_cells()
+    }
+
+
 def compute_digests() -> Dict[str, str]:
     return {
         **fig4_digests(),
@@ -230,6 +294,7 @@ def compute_digests() -> Dict[str, str]:
         **scaling_topology_digests(),
         **mitigation_digests(),
         **observation_digests(),
+        **timeline_digests(),
     }
 
 
@@ -292,6 +357,10 @@ def test_mitigation_grid_matches_frozen_digests(frozen, computed):
 
 def test_observations_match_frozen_digests(frozen, computed):
     _assert_prefix_matches(frozen, computed, "observations/", 3)
+
+
+def test_timelines_match_frozen_digests(frozen, computed):
+    _assert_prefix_matches(frozen, computed, "timeline/", 7)
 
 
 if __name__ == "__main__":
