@@ -12,24 +12,24 @@ per-window congestion series with the detected change point — the
 monitoring dashboard the paper's scenario calls for, built purely from
 end-to-end measurements.
 
-This is the *batch* (after-the-fact) pipeline; see
-``examples/live_monitoring.py`` for the same day driven through the
-streaming engine (``repro.streaming``), which refits incrementally while
-the rounds arrive and raises the flash-crowd alert within one window of
-its onset.
+This is the *after-the-fact* view: the recorded day is replayed through the
+streaming engine (``repro.streaming``) from memory with
+:class:`~repro.streaming.ingest.MatrixSource`, the same engine that refits
+a live stream. See ``examples/live_monitoring.py`` for the day driven round
+by round, with the flash-crowd alert raised within one window of its
+onset.
 
 Run:  python examples/congestion_timeline.py
 """
 
 from __future__ import annotations
 
-
 from repro import EstimatorConfig, generate_brite_network
 from repro.analysis.peers import build_peer_report
 from repro.probability.correlation_complete import CorrelationCompleteEstimator
-from repro.probability.windowed import WindowedEstimator
 from repro.simulation.congestion import NonStationaryModel, build_congestion_model
 from repro.simulation.probing import PathProber
+from repro.streaming import MatrixSource, StreamingEstimator
 from repro.topology.brite import BriteConfig
 
 
@@ -77,11 +77,12 @@ def main() -> None:
         network, states, random_state=43
     )
 
-    windowed = WindowedEstimator(
+    engine = StreamingEstimator(
+        network,
         CorrelationCompleteEstimator(EstimatorConfig(seed=44)),
         window=100,
     )
-    timeline = windowed.fit(network, observations)
+    timeline = engine.run(MatrixSource(observations).chunks())
 
     print(f"Monitoring {network.num_paths} paths over {network.num_links} links;")
     print(f"victim peer AS{victim_asn} with {len(victim_links)} monitored links\n")

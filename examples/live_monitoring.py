@@ -1,15 +1,15 @@
 """Live peer monitoring: the flash-crowd day, streamed.
 
-The streaming successor of ``examples/congestion_timeline.py``: instead of
-recording a full day of probe rounds and batch-fitting windows after the
-fact, this example runs the monitoring loop the paper's source-ISP
+The live counterpart of ``examples/congestion_timeline.py``: instead of
+recording a full day of probe rounds and replaying it through the engine
+after the fact, this example runs the monitoring loop the paper's source-ISP
 scenario actually describes — a long-lived engine ingesting probe rounds
 as they happen, refitting on stride boundaries over its packed ring
 buffer, and raising alerts the moment a peer's congestion level shifts.
 
 The same flash crowd hits the same victim peer mid-day; the difference is
-*when* you find out: the batch pipeline reports after the day ends, the
-streaming engine pages within one window of the onset. At the end the
+*when* you find out: the replay reports after the day ends, the live
+engine pages within one window of the onset. At the end the
 engine state is checkpointed, the way a real monitor would persist across
 restarts.
 

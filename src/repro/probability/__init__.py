@@ -49,11 +49,10 @@ from repro.probability.registry import (
     register_estimator,
     resolve_estimator,
 )
-from repro.probability.windowed import CongestionTimeline, WindowedEstimator
+from repro.probability.windowed import CongestionTimeline
 
 __all__ = [
     "CongestionTimeline",
-    "WindowedEstimator",
     "SubsetIndex",
     "potentially_congested_links",
     "build_matrix",

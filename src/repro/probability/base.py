@@ -14,8 +14,7 @@ staged pipeline (see :mod:`repro.probability.pipeline`):
    :class:`CongestionProbabilityModel` carrying a :class:`FitReport`.
 
 The algorithms differ in stages 3-4 and the model wrap; the common
-plumbing lives here. ``FrequencyCache`` and ``FitReport`` are defined in
-:mod:`repro.probability.pipeline` and re-exported here for compatibility.
+plumbing lives here.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ from repro.util.rng import as_generator
 
 __all__ = [
     "EstimatorConfig",
-    "FitReport",
-    "FrequencyCache",
     "ProbabilityEstimator",
     "log_frequency_weight",
     "log_frequency_weights",

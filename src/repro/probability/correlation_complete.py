@@ -49,14 +49,12 @@ from repro.linalg.nullspace import DEFAULT_TOL, null_space, null_space_update
 from repro.linalg.system import EquationSystem
 from repro.model.status import ObservationMatrix
 from repro.probability.base import (
-    FitReport,
-    FrequencyCache,
     ProbabilityEstimator,
     log_frequency_weights,
     shared_sampled_pool,
     singleton_path_sets,
 )
-from repro.probability.pipeline import FitContext
+from repro.probability.pipeline import FitContext, FitReport, FrequencyCache
 from repro.probability.query import CongestionProbabilityModel
 from repro.probability.subsets import SubsetIndex
 from repro.topology.graph import Network

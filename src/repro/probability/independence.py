@@ -24,13 +24,12 @@ import numpy as np
 from repro.exceptions import EstimationError
 from repro.linalg.system import EquationSystem
 from repro.probability.base import (
-    FitReport,
     ProbabilityEstimator,
     log_frequency_weights,
     shared_sampled_pool,
     singleton_path_sets,
 )
-from repro.probability.pipeline import FitContext
+from repro.probability.pipeline import FitContext, FitReport
 from repro.probability.query import CongestionProbabilityModel
 
 

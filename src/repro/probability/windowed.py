@@ -3,10 +3,13 @@
 The paper's source ISP wants to know "how frequently the peer is congested
 and how its congestion level changes over the course of day or week"
 (Section 1), and Section 4 interprets a computed probability as the fraction
-of the T observed intervals a link was congested. This module slides a
+of the T observed intervals a link was congested. A windowed fit slides a
 window over a long observation horizon and re-runs a probability estimator
 per window, yielding per-link congestion-probability *time series* — the
-monitoring dashboard the paper's scenario calls for.
+monitoring dashboard the paper's scenario calls for. This module holds the
+result types (:class:`CongestionTimeline` of :class:`WindowEstimate`\\ s);
+the fitting is :class:`~repro.streaming.engine.StreamingEstimator`, live or
+over a recorded horizon via :class:`~repro.streaming.ingest.MatrixSource`.
 
 Non-stationarity is handled exactly the way Section 4 argues it should be:
 each window's estimate is the link's average behaviour over that window,
@@ -17,15 +20,12 @@ per-interval diagnosis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import EstimationError
-from repro.model.status import ObservationMatrix
-from repro.probability.base import ProbabilityEstimator
 from repro.probability.query import CongestionProbabilityModel
-from repro.probability.registry import resolve_estimator
 from repro.topology.graph import Network
 
 
@@ -118,67 +118,3 @@ class CongestionTimeline:
     def window_spans(self) -> List[Tuple[int, int]]:
         """The [start, stop) interval span of each window."""
         return [(w.start, w.stop) for w in self.windows]
-
-
-class WindowedEstimator:
-    """Slide a probability estimator over a long observation horizon.
-
-    Parameters
-    ----------
-    estimator:
-        Any :class:`ProbabilityEstimator`, or a registered estimator name
-        (see :mod:`repro.probability.registry`); defaults to
-        Correlation-complete.
-    window:
-        Window length in intervals (the paper suggests horizons of
-        "hours or so" per estimate).
-    stride:
-        Step between window starts; defaults to ``window`` (tumbling
-        windows). Smaller strides give overlapping (smoother) series.
-    """
-
-    def __init__(
-        self,
-        estimator: Union[ProbabilityEstimator, str, None] = None,
-        window: int = 200,
-        stride: Optional[int] = None,
-    ) -> None:
-        if window < 2:
-            raise EstimationError("window must cover at least 2 intervals")
-        self.estimator = resolve_estimator(estimator)
-        self.window = window
-        self.stride = stride if stride is not None else window
-        if self.stride < 1:
-            raise EstimationError("stride must be >= 1")
-
-    def fit(
-        self, network: Network, observations: ObservationMatrix
-    ) -> CongestionTimeline:
-        """Fit one model per window over the whole horizon.
-
-        Windows that produce no usable equations (e.g. everything congested
-        throughout the window) are skipped rather than aborting the
-        timeline.
-        """
-        total = observations.num_intervals
-        if total < self.window:
-            raise EstimationError(
-                f"horizon of {total} intervals shorter than window {self.window}"
-            )
-        timeline = CongestionTimeline(network=network)
-        start = 0
-        while start + self.window <= total:
-            stop = start + self.window
-            # The window is a word slice (plus a tail mask) — no
-            # re-packing and no dense matrix per window.
-            chunk = observations.slice_intervals(start, stop)
-            try:
-                model = self.estimator.fit(network, chunk)
-            except EstimationError:
-                start += self.stride
-                continue
-            timeline.windows.append(WindowEstimate(start=start, stop=stop, model=model))
-            start += self.stride
-        if not timeline.windows:
-            raise EstimationError("no window produced a usable estimate")
-        return timeline

@@ -11,12 +11,14 @@ Layers, bottom up:
 * :mod:`repro.streaming.buffer` — :class:`PackedRingBuffer`, word-aligned
   ``uint64`` ring storage with bounded retention and zero-copy window
   views onto the packed frequency kernel;
-* :mod:`repro.streaming.ingest` — pluggable :class:`ObservationSource`\\ s
-  (live prober, in-memory replay, NDJSON trace record/replay);
-* :mod:`repro.streaming.engine` — :class:`StreamingEstimator`, incremental
-  windowed refits on stride boundaries with a warm frequency workload,
-  bit-identical to the offline
-  :class:`~repro.probability.windowed.WindowedEstimator`;
+* :mod:`repro.streaming.ingest` — observation sources: in-memory replay
+  (:class:`MatrixSource`) and NDJSON trace record/replay; live probing is
+  :meth:`~repro.simulation.probing.StreamingProber.rounds`;
+* :mod:`repro.streaming.engine` — :class:`StreamingEstimator`, the one
+  windowed-fit path: incremental refits on stride boundaries with a warm
+  frequency workload, live or over an offline horizon
+  (``engine.run(MatrixSource(observations).chunks())``), the same timeline
+  however the stream is chunked;
 * :mod:`repro.streaming.alerts` — online per-link/per-peer threshold and
   level-shift detection with hysteresis, emitting structured
   :class:`Alert` events;
@@ -42,8 +44,6 @@ from repro.streaming.engine import StreamingEstimator
 from repro.streaming.ingest import (
     MatrixSource,
     NDJSONTraceSource,
-    ObservationSource,
-    ProberSource,
     write_ndjson_trace,
 )
 
@@ -56,8 +56,6 @@ __all__ = [
     "peer_congestion_levels",
     "PackedRingBuffer",
     "StreamingEstimator",
-    "ObservationSource",
-    "ProberSource",
     "MatrixSource",
     "NDJSONTraceSource",
     "write_ndjson_trace",

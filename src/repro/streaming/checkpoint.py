@@ -28,7 +28,7 @@ from repro.exceptions import EstimationError
 from repro.probability.base import ProbabilityEstimator
 from repro.streaming.alerts import AlertManager, LevelShiftDetector, ThresholdDetector
 from repro.streaming.buffer import PackedRingBuffer
-from repro.streaming.engine import StreamingEstimator
+from repro.streaming.engine import StreamingEstimator, ring_retention
 from repro.topology.graph import Network
 
 #: Schema version of the checkpoint document.
@@ -141,8 +141,6 @@ def checkpoint_state(engine: StreamingEstimator) -> dict:
         "version": CHECKPOINT_VERSION,
         "window": engine.window,
         "stride": engine.stride,
-        "retention": engine.retention,
-        "workload_limit": engine.workload_limit,
         "max_windows": engine.max_windows,
         "max_alerts": engine.max_alerts,
         "num_paths": engine.buffer.num_paths,
@@ -202,8 +200,10 @@ def restore_engine(
     echo (path/link counts, window geometry) is validated against them.
     The restored engine resumes ingestion at the exact round the
     checkpointed one stopped, with the same warm workload, alert
-    hysteresis state, and window numbering. A ``"kernel"`` field, written
-    by older versions, is ignored.
+    hysteresis state, and window numbering. The ``"kernel"``,
+    ``"retention"`` and ``"workload_limit"`` fields, written by older
+    versions, are ignored: the ring's retention follows from the window
+    geometry and the workload cap is the engine's constant.
 
     Raises
     ------
@@ -263,7 +263,11 @@ def restore_engine(
         .copy()
         .view(np.uint64)
     )
-    retention = _field(state, "retention")
+    window = _field(state, "window")
+    stride = _field(state, "stride")
+    # Checked before the ring is allocated: a corrupt geometry must fail
+    # typed, not as an allocation of the ring it implies.
+    retention = ring_retention(window, stride)
     ring = PackedRingBuffer.restore(
         words,
         _field(ring_state, "first_interval", where="ring."),
@@ -273,11 +277,9 @@ def restore_engine(
     engine = StreamingEstimator(
         network,
         estimator=estimator,
-        window=_field(state, "window"),
-        stride=_field(state, "stride"),
-        retention=retention,
+        window=window,
+        stride=stride,
         alert_manager=alert_manager,
-        workload_limit=_field(state, "workload_limit", default=8192),
         max_windows=_field(state, "max_windows", _optional_int, None),
         max_alerts=_field(state, "max_alerts", _optional_int, None),
         ring=ring,
@@ -288,7 +290,18 @@ def restore_engine(
             f"{state.get('estimator')!r}, restore supplied "
             f"{engine.estimator.name!r}"
         )
-    engine._next_start = _field(state, "next_window_start")
+    # The cursor sits on a retained interval, at most one stride past the
+    # start of the last window the ring could have completed (0 before
+    # any window completed).
+    next_start = _field(state, "next_window_start")
+    latest = max(0, ring.end_interval - window + stride)
+    if not ring.first_interval <= next_start <= latest:
+        raise EstimationError(
+            f"checkpoint field 'next_window_start' ({next_start}) is outside "
+            f"[{ring.first_interval}, {latest}] for the ring's "
+            f"[{ring.first_interval}, {ring.end_interval})"
+        )
+    engine._next_start = next_start
     engine._workload = _field(
         state,
         "workload",

@@ -1,25 +1,23 @@
-"""Incremental windowed estimation over a live probe stream.
+"""Windowed estimation over a probe stream: the one windowed-fit path.
 
-:class:`StreamingEstimator` is the long-lived counterpart of
-:class:`~repro.probability.windowed.WindowedEstimator`: instead of
-consuming a complete horizon and fitting every window in one pass, it
-ingests probe rounds as they arrive, refits exactly when a stride boundary
-completes a window over the ring buffer, and emits the resulting
-:class:`~repro.probability.windowed.WindowEstimate` into a live
-:class:`~repro.probability.windowed.CongestionTimeline` (and through the
-attached :class:`~repro.streaming.alerts.AlertManager`).
+:class:`StreamingEstimator` ingests probe rounds as they arrive, refits
+exactly when a stride boundary completes a window over the ring buffer,
+and emits each :class:`~repro.probability.windowed.WindowEstimate` into a
+live :class:`~repro.probability.windowed.CongestionTimeline` (and through
+the attached :class:`~repro.streaming.alerts.AlertManager`). An offline
+timeline is the same engine over an in-memory horizon:
+``engine.run(MatrixSource(observations).chunks())``.
 
-The key invariant: fed the same horizon, the emitted timeline is
-**bit-identical** to the offline ``WindowedEstimator.fit`` output. Windows
-are served from the packed ring as the very slices the offline path would
-take, and the only cross-window state — the warm frequency workload — is a
-*prefetch*, not a value reuse: each window's frequencies are computed by
-the same batched kernel on the same window content, merely all at once
-up front instead of query by query during the fit. Overlapping refits are
-therefore amortised (one big kernel call plus cache hits) without ever
-recomputing over the full horizon, the way a warm memoised store keeps
-congestion state current across control decisions in streaming
-traffic-engineering controllers.
+The invariant is chunking-invariance: however the stream is cut into
+blocks, the timeline is the one from fitting
+``observations.slice_intervals(start, start + window)`` for each window in
+turn (the test reference). Windows are served from the packed ring as
+exactly those slices, and the only cross-window state — the warm
+frequency workload — is a *prefetch*, not a value reuse: each window's
+frequencies are computed by the same batched kernel on the same window
+content, merely all at once up front instead of query by query during the
+fit. Overlapping refits are therefore amortised (one big kernel call plus
+cache hits) without ever recomputing over the full horizon.
 
 The warm cache reaches the fit through the estimation pipeline's
 :class:`~repro.probability.pipeline.SharedFitWorkspace` — per-window
@@ -69,6 +67,36 @@ _REFIT_SECONDS = histogram(
     "Wall time per streaming window refit (including skipped fits).",
 )
 
+#: Cap on the carried-over frequency workload: path sets the last
+#: successful fit queried, prefetched into the next window's cache.
+WORKLOAD_LIMIT = 8192
+
+#: Longest ``window`` and ``stride`` the engine accepts. The ring holds
+#: ``window + stride`` intervals per path, so a larger value (a corrupt
+#: checkpoint, a mistyped ``--window``) is rejected before allocation.
+MAX_WINDOW_INTERVALS = 1 << 20
+
+
+def ring_retention(window: int, stride: int) -> int:
+    """Ring retention for this geometry; EstimationError names a bad field.
+
+    The ring must always retain ``[next_start, end)``: the un-refitted
+    suffix never exceeds window + ingest-piece size, and pieces are capped
+    at retention - window - one word of eviction slack (the second word
+    keeps every piece longer than a stride).
+    """
+    if window < 2:
+        raise EstimationError("window must cover at least 2 intervals")
+    if stride < 1:
+        raise EstimationError("stride must be >= 1")
+    for name, value in (("window", window), ("stride", stride)):
+        if value > MAX_WINDOW_INTERVALS:
+            raise EstimationError(
+                f"{name} must be at most {MAX_WINDOW_INTERVALS} intervals, "
+                f"got {value}"
+            )
+    return window + stride + 2 * WORD_BITS
+
 
 class StreamingEstimator:
     """Windowed probability estimation as an online service.
@@ -82,18 +110,15 @@ class StreamingEstimator:
         (see :mod:`repro.probability.registry`); defaults to
         Correlation-complete.
     window:
-        Window length in intervals (matches ``WindowedEstimator``).
+        Window length in intervals (the paper suggests horizons of
+        "hours or so" per estimate).
     stride:
         Step between window starts; defaults to ``window`` (tumbling).
-    retention:
-        Ring retention in intervals. Automatically floored at
-        ``window + stride`` plus word-rounding slack so the next due
-        window can never be evicted before it is fitted.
+        Smaller strides give overlapping (smoother) series. The ring
+        retains :func:`ring_retention` intervals, so the next due window
+        can never be evicted before it is fitted.
     alert_manager:
         Online alerting sink; ``None`` disables alert evaluation.
-    workload_limit:
-        Cap on the carried-over frequency workload (path sets prefetched
-        into the next window's cache).
     max_windows:
         Bound on retained :attr:`timeline` windows (oldest dropped first);
         ``None`` keeps every emitted window. A long-lived monitor should
@@ -106,7 +131,8 @@ class StreamingEstimator:
         A pre-built :class:`PackedRingBuffer` to adopt instead of
         allocating a fresh one — the checkpoint-restore path hands the
         restored ring in directly so the store is allocated once. Its
-        path width and retention must match.
+        path width must match and its retention must cover
+        :func:`ring_retention`.
     """
 
     def __init__(
@@ -115,47 +141,35 @@ class StreamingEstimator:
         estimator: Union[ProbabilityEstimator, str, None] = None,
         window: int = 200,
         stride: Optional[int] = None,
-        retention: Optional[int] = None,
         alert_manager: Optional[AlertManager] = None,
-        workload_limit: int = 8192,
         max_windows: Optional[int] = None,
         max_alerts: Optional[int] = None,
         ring: Optional[PackedRingBuffer] = None,
     ) -> None:
-        if window < 2:
-            raise EstimationError("window must cover at least 2 intervals")
-        self.network = network
-        self.estimator = resolve_estimator(estimator)
-        self.window = window
-        self.stride = stride if stride is not None else window
-        if self.stride < 1:
-            raise EstimationError("stride must be >= 1")
-        if workload_limit < 0:
-            raise EstimationError("workload_limit must be >= 0")
+        stride = stride if stride is not None else window
+        retention = ring_retention(window, stride)
         if max_windows is not None and max_windows < 1:
             raise EstimationError("max_windows must be >= 1")
         if max_alerts is not None and max_alerts < 0:
             raise EstimationError("max_alerts must be >= 0")
-        # The ring must always retain [next_start, end): the un-refitted
-        # suffix never exceeds window + ingest-piece size, and pieces are
-        # capped at retention - window - 2 words of rounding slack below.
-        floor = self.window + self.stride + 2 * WORD_BITS
-        self.retention = max(retention or 0, floor)
+        self.network = network
+        self.estimator = resolve_estimator(estimator)
+        self.window = window
+        self.stride = stride
         if ring is not None:
             if ring.num_paths != network.num_paths:
                 raise EstimationError(
                     "supplied ring's path width does not match the network"
                 )
-            if ring.retention < self.retention:
+            if ring.retention < retention:
                 raise EstimationError(
                     "supplied ring's retention is below the engine's floor"
                 )
             self._ring = ring
         else:
-            self._ring = PackedRingBuffer(network.num_paths, self.retention)
+            self._ring = PackedRingBuffer(network.num_paths, retention)
         self._max_piece = self._ring.retention - self.window - WORD_BITS
         self.alert_manager = alert_manager
-        self.workload_limit = workload_limit
         self.max_windows = max_windows
         self.max_alerts = max_alerts
         self.timeline = CongestionTimeline(network=network)
@@ -239,25 +253,11 @@ class StreamingEstimator:
             _RING_OCCUPANCY.set(float(self._ring.num_retained))
         return emitted
 
-    def run(
-        self,
-        chunks: Iterable[np.ndarray],
-        max_intervals: Optional[int] = None,
-    ) -> CongestionTimeline:
-        """Drive the engine from a chunk iterator (e.g. a prober or trace).
-
-        Stops when the source is exhausted or ``max_intervals`` rounds have
-        been ingested; returns the live timeline.
-        """
+    def run(self, chunks: Iterable[np.ndarray]) -> CongestionTimeline:
+        """Ingest every block of a chunk iterator (a prober, trace or
+        in-memory replay); returns the timeline."""
         for chunk in chunks:
-            if max_intervals is not None:
-                budget = max_intervals - self.intervals_ingested
-                if budget <= 0:
-                    break
-                chunk = np.asarray(chunk, dtype=bool)[:budget]
             self.ingest(chunk)
-            if (max_intervals is not None and self.intervals_ingested >= max_intervals):
-                break
         return self.timeline
 
     # ------------------------------------------------------------------
@@ -331,8 +331,5 @@ class StreamingEstimator:
         # Carry forward only the queries this (successful) fit actually
         # made — path sets the estimator stopped needing fall out of the
         # workload instead of being prefetched forever.
-        if self.workload_limit:
-            self._workload = cache.touched_keys()[-self.workload_limit :]
-        else:
-            self._workload = []
+        self._workload = cache.touched_keys()[-WORKLOAD_LIMIT:]
         return WindowEstimate(start=start, stop=stop, model=model)

@@ -1,15 +1,15 @@
-"""Pluggable observation sources feeding the streaming engine.
+"""Observation sources feeding the streaming engine.
 
-Every source yields boolean ``(rounds, num_paths)`` blocks — the exact
-shape :meth:`StreamingEstimator.ingest` consumes — so live probing,
-recorded campaigns, and in-memory replays are interchangeable:
+:meth:`StreamingEstimator.run` takes any iterable of boolean
+``(rounds, num_paths)`` blocks, so live probing, recorded campaigns, and
+in-memory replays are interchangeable:
 
-* :class:`ProberSource` — live measurement: drives a
-  :class:`~repro.simulation.probing.StreamingProber` (ground truth +
-  optional packet-level prober) round by round;
+* live measurement is
+  :meth:`StreamingProber.rounds <repro.simulation.probing.StreamingProber.rounds>`
+  (ground truth + optional packet-level prober, round block by block);
 * :class:`MatrixSource` — replay of an in-memory horizon (an
   :class:`~repro.model.status.ObservationMatrix` or dense boolean matrix)
-  in fixed-size chunks, the bridge from offline campaigns to the engine;
+  in fixed-size chunks: an offline timeline is the engine run over it;
 * :class:`NDJSONTraceSource` — replay of a recorded campaign from
   newline-delimited JSON, the on-disk interchange format written by
   :func:`write_ndjson_trace`.
@@ -26,7 +26,6 @@ good in the paper's scenarios, so sparse rounds are compact)::
 from __future__ import annotations
 
 import json
-from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -34,8 +33,6 @@ import numpy as np
 
 from repro.exceptions import ScenarioError
 from repro.model.status import ObservationMatrix
-from repro.simulation.probing import StreamingProber
-from repro.util.rng import RandomState
 
 #: Widest trace header :class:`NDJSONTraceSource` accepts. Far above any
 #: monitored network (the 10k-node AS path derives thousands of paths); a
@@ -43,51 +40,7 @@ from repro.util.rng import RandomState
 MAX_TRACE_PATHS = 10_000_000
 
 
-class ObservationSource(ABC):
-    """A stream of probe-round blocks with a fixed path width."""
-
-    @property
-    @abstractmethod
-    def num_paths(self) -> int:
-        """Width of every yielded block."""
-
-    @abstractmethod
-    def chunks(self) -> Iterator[np.ndarray]:
-        """Yield boolean ``(rounds, num_paths)`` blocks until exhausted."""
-
-
-class ProberSource(ObservationSource):
-    """Live measurement source wrapping a :class:`StreamingProber`.
-
-    Parameters
-    ----------
-    prober:
-        The configured streaming prober (network, ground truth, monitor).
-    num_intervals:
-        Stop after this many rounds; ``None`` streams forever.
-    random_state:
-        Seed/generator for ground-truth sampling and packet probing.
-    """
-
-    def __init__(
-        self,
-        prober: StreamingProber,
-        num_intervals: Optional[int] = None,
-        random_state: RandomState = None,
-    ) -> None:
-        self.prober = prober
-        self.num_intervals = num_intervals
-        self.random_state = random_state
-
-    @property
-    def num_paths(self) -> int:
-        return self.prober.network.num_paths
-
-    def chunks(self) -> Iterator[np.ndarray]:
-        return self.prober.rounds(self.num_intervals, self.random_state)
-
-
-class MatrixSource(ObservationSource):
+class MatrixSource:
     """Replay an in-memory horizon in fixed-size chunks.
 
     A packed :class:`ObservationMatrix` is replayed chunk by chunk through
@@ -111,10 +64,6 @@ class MatrixSource(ObservationSource):
         self._observations = observations
         self.chunk_intervals = chunk_intervals
 
-    @property
-    def num_paths(self) -> int:
-        return self._observations.num_paths
-
     def chunks(self) -> Iterator[np.ndarray]:
         total = self._observations.num_intervals
         for start in range(0, total, self.chunk_intervals):
@@ -131,8 +80,8 @@ def write_ndjson_trace(
 
     Accepts a finished horizon (``ObservationMatrix`` / dense matrix) or an
     iterable of ``(rounds, paths)`` chunks (e.g. a live
-    :class:`ObservationSource`'s ``chunks()``), so campaigns can be recorded
-    while they stream.
+    :meth:`StreamingProber.rounds`), so campaigns can be recorded while
+    they stream.
     """
     if isinstance(observations, ObservationMatrix):
         # Chunked replay through the words' own slicing: a long packed
@@ -178,7 +127,7 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-class NDJSONTraceSource(ObservationSource):
+class NDJSONTraceSource:
     """Replay a recorded NDJSON campaign in fixed-size chunks.
 
     The file is read lazily line by line, so arbitrarily long recorded

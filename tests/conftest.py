@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.simulation.congestion import CongestionModel, Driver
+from repro.simulation.congestion import CongestionModel, Driver, NonStationaryModel
 from repro.simulation.probing import oracle_path_status
 from repro.topology.brite import BriteConfig, generate_brite_network
 from repro.topology.builders import fig1_topology
@@ -63,6 +63,15 @@ def fig1_observations(fig1_case1, fig1_model):
     """Long oracle observation window on Fig. 1 Case 1."""
     states = fig1_model.sample(8000, np.random.default_rng(42))
     return oracle_path_status(fig1_case1, states)
+
+
+@pytest.fixture(scope="session")
+def fig1_horizon():
+    """800 dense oracle rounds on Fig. 1 Case 1 with a level shift: e1 is
+    congested with probability 0.1 for 400 intervals, then 0.7."""
+    quiet, busy = (CongestionModel(4, [Driver(p, frozenset({0}))]) for p in (0.1, 0.7))
+    states = NonStationaryModel([(quiet, 400), (busy, 400)]).sample(800, 4)
+    return oracle_path_status(fig1_topology(case=1), states).matrix
 
 
 @pytest.fixture(scope="session")

@@ -139,7 +139,7 @@ def fig_scenario_observations(request):
 
 
 def test_frequency_cache_counters_and_bound():
-    from repro.probability.base import FrequencyCache
+    from repro.probability.pipeline import FrequencyCache
 
     rng = np.random.default_rng(23)
     obs = ObservationMatrix(rng.random((200, 10)) < 0.3)

@@ -19,10 +19,11 @@ the rank, the residual and the equation count. The cases are
 * the observation paths on one tiny network: :func:`oracle_path_status`,
   the oracle blocks of a :class:`StreamingProber` and one packet-level
   :meth:`PathProber.observe` matrix;
-* windowed timelines (every window's span and link marginals): the Fig. 1
-  shifting horizon under Correlation-complete at three (window, stride)
-  geometries and under Independence, and one tiny Brite horizon per paper
-  estimator at stride 97 (window starts off the 64-interval word grid).
+* streaming-engine timelines (window spans and link marginals) under
+  three chunkings: the Fig. 1 shifting horizon under Correlation-complete
+  at three (window, stride) geometries and under Independence, and a tiny
+  Brite horizon per paper estimator at stride 97 (off the word grid),
+  frozen from the offline loop that fitted each window's slice in turn.
 
 Any change to the path-set selection, the null-space updates, the
 equation storage, the route derivation, the solve, the observation
@@ -64,12 +65,12 @@ from repro.probability.correlation_complete import (
 )
 from repro.probability.correlation_heuristic import CorrelationHeuristicEstimator
 from repro.probability.independence import IndependenceEstimator
-from repro.probability.windowed import WindowedEstimator
 from repro.simulation.experiment import run_experiment
 from repro.mitigation.policies import policy_names
 from repro.simulation.congestion import CongestionModel, Driver, NonStationaryModel
 from repro.simulation.probing import PathProber, StreamingProber, oracle_path_status
 from repro.simulation.scenarios import ScenarioConfig, ScenarioKind, build_scenario
+from repro.streaming import StreamingEstimator
 from repro.topology.brite import generate_brite_network
 from repro.topology.builders import fig1_topology
 from repro.topology.traceroute import generate_sparse_network
@@ -239,52 +240,50 @@ def timeline_digest(timeline) -> str:
     return digest.hexdigest()
 
 
-def timeline_cells():
-    """``(key, estimator factory, network, observations, window, stride)``
-    of every frozen timeline."""
+def timeline_digests() -> Dict[str, str]:
+    """One digest per windowed timeline, keyed ``timeline/...``.
+
+    Each horizon is streamed round by round, in ragged blocks of 1 to 96
+    rounds and in one bulk block; a cell whose chunkings disagree records
+    every digest, so it cannot match its frozen value.
+    """
     fig1 = fig1_topology(case=1)
-    quiet = CongestionModel(4, [Driver(0.1, frozenset({0}))])
-    busy = CongestionModel(4, [Driver(0.7, frozenset({0}))])
-    shifting = NonStationaryModel([(quiet, 400), (busy, 400)])
-    fig1_states = shifting.sample(800, np.random.default_rng(4))
-    fig1_horizon = oracle_path_status(fig1, fig1_states)
-
-    def complete():
-        return CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0))
-
-    cells = [
-        (f"fig1/Correlation-complete/{w}-{s}", complete, fig1, fig1_horizon, w, s)
-        for w, s in ((200, 200), (200, 100), (150, 70))
-    ]
-    key = "fig1/Independence/200-200"
-    cells.append((key, IndependenceEstimator, fig1, fig1_horizon, 200, 200))
+    drivers = ([Driver(p, frozenset({0}))] for p in (0.1, 0.7))
+    shifting = NonStationaryModel([(CongestionModel(4, d), 400) for d in drivers])
+    states = shifting.sample(800, np.random.default_rng(4))
+    fig1_horizon = oracle_path_status(fig1, states)
     brite = generate_brite_network(TINY.brite, 5)
     scenario = build_scenario(brite, ScenarioConfig(kind=ScenarioKind.RANDOM), 60)
     brite_horizon = oracle_path_status(brite, scenario.ground_truth.sample(420, 61))
-    for estimator in (*BASELINES, CorrelationCompleteEstimator):
-        cells.append(
-            (
-                f"brite/{estimator.name}/120-97",
-                lambda estimator=estimator: estimator(EstimatorConfig(seed=62)),
-                brite,
-                brite_horizon,
-                120,
-                97,
-            )
-        )
-    return cells
-
-
-def timeline_digests() -> Dict[str, str]:
-    """One digest per windowed timeline, keyed ``timeline/...``."""
-    return {
-        f"timeline/{key}": timeline_digest(
-            WindowedEstimator(make(), window=window, stride=stride).fit(
-                network, observations
-            )
-        )
-        for key, make, network, observations, window, stride in timeline_cells()
+    complete = CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0))
+    cells = {
+        f"fig1/Correlation-complete/{w}-{s}": (complete, fig1, fig1_horizon, w, s)
+        for w, s in ((200, 200), (200, 100), (150, 70))
     }
+    independence = IndependenceEstimator()
+    cells["fig1/Independence/200-200"] = (independence, fig1, fig1_horizon, 200, 200)
+    for estimator in (*BASELINES, CorrelationCompleteEstimator):
+        fit = estimator(EstimatorConfig(seed=62))
+        cells[f"brite/{fit.name}/120-97"] = (fit, brite, brite_horizon, 120, 97)
+    digests = {}
+    for key, (estimator, network, observations, window, stride) in cells.items():
+        total = observations.num_intervals
+        sizes = np.random.default_rng(total).integers(1, 97, size=total)
+        cut = int(np.searchsorted(np.cumsum(sizes), total))
+        ragged = [*sizes[:cut], total - sizes[:cut].sum()]
+        found = set()
+        for blocks in ([1] * total, ragged, [total]):
+            bounds = np.cumsum([0, *blocks]).tolist()
+            engine = StreamingEstimator(
+                network, estimator, window=window, stride=stride
+            )
+            engine.run(
+                observations.slice_intervals(a, b).matrix
+                for a, b in zip(bounds, bounds[1:])
+            )
+            found.add(timeline_digest(engine.timeline))
+        digests[f"timeline/{key}"] = found.pop() if len(found) == 1 else str(found)
+    return digests
 
 
 def compute_digests() -> Dict[str, str]:

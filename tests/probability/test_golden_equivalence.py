@@ -24,8 +24,6 @@ from repro.linalg.system import EquationSystem
 from repro.model.status import ObservationMatrix
 from repro.probability.base import (
     EstimatorConfig,
-    FitReport,
-    FrequencyCache,
     log_frequency_weights,
     shared_sampled_pool,
     singleton_path_sets,
@@ -38,7 +36,7 @@ from repro.probability.correlation_complete import (
 )
 from repro.probability.correlation_heuristic import CorrelationHeuristicEstimator
 from repro.probability.independence import IndependenceEstimator
-from repro.probability.pipeline import SharedFitWorkspace
+from repro.probability.pipeline import FitReport, FrequencyCache, SharedFitWorkspace
 from repro.probability.query import CongestionProbabilityModel
 from repro.probability.subsets import SubsetIndex, potentially_congested_links
 from repro.simulation.experiment import run_experiment

@@ -1,4 +1,4 @@
-"""Tests for windowed probability computation."""
+"""Windowed probability computation: a recorded horizon through the engine."""
 
 from __future__ import annotations
 
@@ -6,29 +6,20 @@ import numpy as np
 import pytest
 
 from repro.exceptions import EstimationError
-from repro.model.status import ObservationMatrix
 from repro.probability.base import EstimatorConfig
 from repro.probability.correlation_complete import CorrelationCompleteEstimator
-from repro.probability.windowed import WindowedEstimator
-from repro.simulation.congestion import CongestionModel, Driver, NonStationaryModel
-from repro.simulation.probing import oracle_path_status
+from repro.streaming import MatrixSource, StreamingEstimator
 
 
-@pytest.fixture
-def shifting_truth():
-    """e1 quiet then busy: 0.1 for 400 intervals, 0.7 for the next 400."""
-    quiet = CongestionModel(4, [Driver(0.1, frozenset({0}))])
-    busy = CongestionModel(4, [Driver(0.7, frozenset({0}))])
-    return NonStationaryModel([(quiet, 400), (busy, 400)])
-
-
-@pytest.fixture
-def timeline(fig1_case1, shifting_truth):
-    states = shifting_truth.sample(800, np.random.default_rng(4))
-    observations = oracle_path_status(fig1_case1, states)
+def _timeline(network, observations, window, stride=None):
     estimator = CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0))
-    windowed = WindowedEstimator(estimator, window=200)
-    return windowed.fit(fig1_case1, observations)
+    engine = StreamingEstimator(network, estimator, window=window, stride=stride)
+    return engine.run(MatrixSource(observations).chunks())
+
+
+@pytest.fixture
+def timeline(fig1_case1, fig1_horizon):
+    return _timeline(fig1_case1, fig1_horizon, 200)
 
 
 def test_window_count_and_spans(timeline):
@@ -64,44 +55,18 @@ def test_set_series(timeline):
     assert series.shape == (4,)
 
 
-def test_stride_overlapping_windows(fig1_case1, shifting_truth):
-    states = shifting_truth.sample(600, np.random.default_rng(5))
-    observations = oracle_path_status(fig1_case1, states)
-    windowed = WindowedEstimator(
-        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        window=200,
-        stride=100,
-    )
-    timeline = windowed.fit(fig1_case1, observations)
+def test_stride_overlapping_windows(fig1_case1, fig1_horizon):
+    timeline = _timeline(fig1_case1, fig1_horizon[:600], 200, stride=100)
     assert len(timeline.windows) == 5
     assert timeline.window_spans()[1] == (100, 300)
 
 
 def test_horizon_shorter_than_window(fig1_case1):
-    observations = ObservationMatrix(np.zeros((50, 3), dtype=bool))
-    windowed = WindowedEstimator(window=200)
-    with pytest.raises(EstimationError):
-        windowed.fit(fig1_case1, observations)
-
-
-def test_validation():
-    with pytest.raises(EstimationError):
-        WindowedEstimator(window=1)
-    with pytest.raises(EstimationError):
-        WindowedEstimator(window=10, stride=0)
+    assert _timeline(fig1_case1, np.zeros((50, 3), dtype=bool), 200).windows == []
 
 
 def test_unusable_windows_skipped(fig1_case1):
-    # First half all congested (unusable), second half all good (usable but
-    # empty model), third chunk mixed.
-    blocks = [
-        np.ones((100, 3), dtype=bool),
-        np.zeros((100, 3), dtype=bool),
-    ]
-    observations = ObservationMatrix(np.vstack(blocks))
-    windowed = WindowedEstimator(
-        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        window=100,
-    )
-    timeline = windowed.fit(fig1_case1, observations)
+    # All congested (unusable), then all good (usable, an empty model).
+    blocks = np.vstack([np.ones((100, 3), dtype=bool), np.zeros((100, 3), dtype=bool)])
+    timeline = _timeline(fig1_case1, blocks, 100)
     assert timeline.window_spans() == [(100, 200)]

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.probability.base import EstimatorConfig
 from repro.probability.correlation_complete import CorrelationCompleteEstimator
-from repro.probability.windowed import WindowedEstimator, peer_link_members
-from repro.simulation.congestion import CongestionModel, Driver, NonStationaryModel
-from repro.simulation.probing import oracle_path_status
+from repro.probability.windowed import peer_link_members
 from repro.streaming import (
     AlertManager,
     AlertPolicy,
     LevelShiftDetector,
+    MatrixSource,
     StreamingEstimator,
     ThresholdDetector,
 )
@@ -89,14 +87,8 @@ def test_level_shift_detector_validation():
 # Manager over a real streaming run
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def shifting_run():
-    network = fig1_topology(case=1)
-    quiet = CongestionModel(4, [Driver(0.1, frozenset({0}))])
-    busy = CongestionModel(4, [Driver(0.7, frozenset({0}))])
-    truth = NonStationaryModel([(quiet, 400), (busy, 400)])
-    states = truth.sample(800, np.random.default_rng(4))
-    dense = oracle_path_status(network, states).matrix
-    return network, dense
+def shifting_run(fig1_horizon):
+    return fig1_topology(case=1), fig1_horizon
 
 
 def test_manager_flags_the_flash_crowd(shifting_run):
@@ -125,12 +117,11 @@ def test_manager_flags_the_flash_crowd(shifting_run):
 def test_streaming_shifts_match_offline_change_points(shifting_run):
     """With rearm disabled, streaming level shifts == offline change_points."""
     network, dense = shifting_run
-    from repro.model.status import ObservationMatrix
-
-    estimator = CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0))
-    offline = WindowedEstimator(estimator, window=200).fit(
-        network, ObservationMatrix(dense)
-    )
+    offline = StreamingEstimator(
+        network,
+        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
+        window=200,
+    ).run(MatrixSource(dense).chunks())
     manager = AlertManager(
         network, AlertPolicy(peer_high=None, link_shift=0.2, rearm=None)
     )

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.exceptions import EstimationError
 from repro.probability.base import EstimatorConfig
 from repro.probability.correlation_complete import CorrelationCompleteEstimator
-from repro.simulation.congestion import CongestionModel, Driver, NonStationaryModel
-from repro.simulation.probing import oracle_path_status
 from repro.streaming import AlertManager, AlertPolicy, StreamingEstimator
 from repro.streaming.checkpoint import (
     checkpoint_state,
@@ -22,14 +19,12 @@ from repro.topology.builders import fig1_topology
 
 
 @pytest.fixture(scope="module")
-def setup():
-    network = fig1_topology(case=1)
-    quiet = CongestionModel(4, [Driver(0.1, frozenset({0}))])
-    busy = CongestionModel(4, [Driver(0.7, frozenset({0}))])
-    truth = NonStationaryModel([(quiet, 400), (busy, 400)])
-    states = truth.sample(800, np.random.default_rng(4))
-    dense = oracle_path_status(network, states).matrix
-    return network, dense
+def setup(fig1_horizon):
+    return fig1_topology(case=1), fig1_horizon
+
+
+def _complete():
+    return CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0))
 
 
 def _engine(network, with_alerts=True):
@@ -39,11 +34,7 @@ def _engine(network, with_alerts=True):
         else None
     )
     return StreamingEstimator(
-        network,
-        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        window=150,
-        stride=70,
-        alert_manager=manager,
+        network, _complete(), window=150, stride=70, alert_manager=manager
     )
 
 
@@ -58,7 +49,7 @@ def test_restart_resumes_identically(setup, tmp_path):
     resumed = restore_engine(
         path,
         network,
-        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
+        _complete(),
         alert_manager=AlertManager(
             network, AlertPolicy(peer_high=0.5, peer_low=0.4, link_shift=0.2)
         ),
@@ -88,7 +79,6 @@ def test_restart_resumes_identically(setup, tmp_path):
         for a in interrupted.alerts + resumed.alerts
     ]
     assert full_alerts == split_alerts
-    assert resumed.refits + interrupted.refits - resumed.refits >= 0
 
 
 def test_checkpoint_preserves_counters_and_workload(setup, tmp_path):
@@ -96,11 +86,7 @@ def test_checkpoint_preserves_counters_and_workload(setup, tmp_path):
     engine = _engine(network, with_alerts=False)
     engine.ingest(dense[:430])
     state = checkpoint_state(engine)
-    resumed = restore_engine(
-        state,
-        network,
-        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-    )
+    resumed = restore_engine(state, network, _complete())
     assert resumed.refits == engine.refits
     assert resumed.cache_hits == engine.cache_hits
     assert resumed.cache_misses == engine.cache_misses
@@ -133,7 +119,7 @@ def test_window_numbering_survives_repeated_restores(setup, tmp_path):
         engine = restore_engine(
             state,
             network,
-            CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
+            _complete(),
             alert_manager=AlertManager(
                 network,
                 AlertPolicy(peer_high=0.5, peer_low=0.4, link_shift=0.2),
@@ -160,7 +146,7 @@ def test_restore_applies_new_alert_policy_to_old_targets(setup):
     resumed = restore_engine(
         state,
         network,
-        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
+        _complete(),
         alert_manager=AlertManager(network, raised_policy),
     )
     manager = resumed.alert_manager
@@ -173,21 +159,10 @@ def test_restore_applies_new_alert_policy_to_old_targets(setup):
 def test_checkpoint_preserves_resource_bounds(setup):
     network, dense = setup
     engine = StreamingEstimator(
-        network,
-        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-        window=150,
-        stride=70,
-        workload_limit=123,
-        max_windows=3,
-        max_alerts=2,
+        network, _complete(), window=150, stride=70, max_windows=3, max_alerts=2
     )
     engine.ingest(dense[:300])
-    resumed = restore_engine(
-        checkpoint_state(engine),
-        network,
-        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-    )
-    assert resumed.workload_limit == 123
+    resumed = restore_engine(checkpoint_state(engine), network, _complete())
     assert resumed.max_windows == 3
     assert resumed.max_alerts == 2
 
@@ -224,33 +199,33 @@ def test_restore_validates_structure(setup, tmp_path):
 
 @pytest.mark.parametrize("kernel", [None, "numpy", "numba", "simd"])
 def test_legacy_kernel_field_is_ignored(setup, kernel):
-    """Checkpoints written with a kernel pin still restore, pin or not."""
+    """Fields older versions wrote still restore, and are ignored: a kernel
+    pin, the ring retention (now set by the geometry) and the workload cap
+    (now a constant)."""
     network, dense = setup
     engine = _engine(network, with_alerts=False)
     engine.ingest(dense[:300])
     state = checkpoint_state(engine)
-    assert "kernel" not in state
-    restored = restore_engine(
-        dict(state, kernel=kernel),
-        network,
-        CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
-    )
+    assert not {"kernel", "retention", "workload_limit"} & set(state)
+    legacy = {**state, "kernel": kernel, "retention": 10**13, "workload_limit": 0}
+    restored = restore_engine(legacy, network, _complete())
     assert restored.next_window_start == engine.next_window_start
     assert restored._workload == engine._workload
+    assert restored.buffer.retention == engine.buffer.retention
 
 
 @pytest.fixture(scope="module")
 def document(setup):
-    """A valid checkpoint document of an alerting engine, as JSON loads it."""
+    """A valid checkpoint of an alerting engine whose ring holds [320, 650)."""
     network, dense = setup
     engine = _engine(network)
-    engine.ingest(dense[:200])
+    engine.ingest(dense[:650])
     return json.loads(json.dumps(checkpoint_state(engine)))
 
 
 def _hostile(state, case):
     """One hostile variant of a valid checkpoint, and the text naming it."""
-    ring = state["ring"]
+    ring, cursor = state["ring"], "'next_window_start'"
     without_ring = {key: value for key, value in state.items() if key != "ring"}
     return {
         "missing ring": (without_ring, "'ring'"),
@@ -262,6 +237,10 @@ def _hostile(state, case):
         ),
         "non-numeric window": (dict(state, window="abc"), "'window'"),
         "null stride": (dict(state, stride=None), "'stride'"),
+        "window too large": (dict(state, window=10**13), "window must be at most"),
+        "stride too large": (dict(state, stride=10**13), "stride must be at most"),
+        "cursor before the ring": (dict(state, next_window_start=0), cursor),
+        "cursor past the stream": (dict(state, next_window_start=10**12), cursor),
         "workload not path sets": (dict(state, workload=[[0], 5]), "'workload'"),
         "workload outside the network": (
             dict(state, workload=[[state["num_paths"]]]),
@@ -285,6 +264,10 @@ def _hostile(state, case):
         "num_words mismatch",
         "non-numeric window",
         "null stride",
+        "window too large",
+        "stride too large",
+        "cursor before the ring",
+        "cursor past the stream",
         "workload not path sets",
         "workload outside the network",
         "counters as a list",
@@ -299,7 +282,7 @@ def test_restore_rejects_hostile_documents(setup, document, case):
         restore_engine(
             hostile,
             network,
-            CorrelationCompleteEstimator(EstimatorConfig(pruning_tolerance=0.0)),
+            _complete(),
             alert_manager=AlertManager(network, AlertPolicy(peer_high=0.5)),
         )
 

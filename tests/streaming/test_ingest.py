@@ -17,7 +17,6 @@ from repro.simulation.probing import (
 from repro.streaming.ingest import (
     MatrixSource,
     NDJSONTraceSource,
-    ProberSource,
     write_ndjson_trace,
 )
 from repro.topology.builders import fig1_topology
@@ -93,17 +92,6 @@ def test_streaming_prober_validation(network, truth):
 # ----------------------------------------------------------------------
 # Sources
 # ----------------------------------------------------------------------
-def test_prober_source(network, truth):
-    source = ProberSource(
-        StreamingProber(network, truth, chunk_intervals=32),
-        num_intervals=96,
-        random_state=11,
-    )
-    assert source.num_paths == network.num_paths
-    chunks = list(source.chunks())
-    assert sum(c.shape[0] for c in chunks) == 96
-
-
 def test_matrix_source_round_trip(network, truth):
     states = truth.sample(120, np.random.default_rng(8))
     observations = oracle_path_status(network, states)
