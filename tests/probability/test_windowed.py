@@ -61,6 +61,14 @@ def test_stride_overlapping_windows(fig1_case1, fig1_horizon):
     assert timeline.window_spans()[1] == (100, 300)
 
 
+def test_validation(fig1_case1):
+    observations = np.zeros((50, 3), dtype=bool)
+    with pytest.raises(EstimationError):
+        _timeline(fig1_case1, observations, 1)
+    with pytest.raises(EstimationError):
+        _timeline(fig1_case1, observations, 10, stride=0)
+
+
 def test_horizon_shorter_than_window(fig1_case1):
     assert _timeline(fig1_case1, np.zeros((50, 3), dtype=bool), 200).windows == []
 
